@@ -3,8 +3,9 @@
 Special kinds (cube = [-s,s]^n, simplex = conv{0, s*e_1, ..., s*e_n}
 recentered at its centroid, cross-polytope = conv{+-s*e_j}) carry
 closed-form facets and closed-form Minkowski-combination membership.
-General vertex bodies fall back to hull facets (2-D: monotone chain,
-higher dimensions: qhull) and small LPs for combination membership.
+General vertex bodies get hull facets (2-D: monotone chain, higher
+dimensions: qhull); their combinations aK - cK and dilations K + dB_inf are
+hulls of vertex sums, tested by one ``A x <= b`` on a cached qhull H-rep.
 """
 
 from __future__ import annotations
@@ -50,6 +51,22 @@ def _hull_2d(points: np.ndarray) -> np.ndarray:
     return np.asarray(lower[:-1] + upper[:-1], dtype=float)
 
 
+def _hull_hrep(points: np.ndarray):
+    """(A, b) with unit rows so that conv(points) equals {x : A x <= b}.
+    qhull splits a facet with more than n vertices into coplanar pieces
+    that repeat one hyperplane; the repeats are dropped."""
+    from scipy.spatial import ConvexHull
+
+    eq = ConvexHull(points).equations  # rows [a, c] meaning a @ x + c <= 0
+    eq = eq / np.linalg.norm(eq[:, :-1], axis=1)[:, None]
+    _, first = np.unique(np.round(eq, 10), axis=0, return_index=True)
+    eq = eq[np.sort(first)]
+    A, b = eq[:, :-1], -eq[:, -1]
+    A.setflags(write=False)
+    b.setflags(write=False)
+    return A, b
+
+
 class ConvexBody:
     """Immutable full-dimensional polytope.
 
@@ -73,6 +90,7 @@ class ConvexBody:
         self.scale = float(scale)
         vertices.setflags(write=False)
         self.vertices = vertices
+        self._dilations = {}  # delta -> H-rep of body + delta * B_inf
 
     # --- constructors -------------------------------------------------
 
@@ -234,8 +252,9 @@ class ConvexBody:
     def dilated_contains(self, points, delta: float):
         """Membership in body + delta * [-1,1]^n (sup-norm dilation).
 
-        Exact closed forms for the special kinds and 2-D vertex bodies;
-        a per-point feasibility LP otherwise.
+        Closed forms for the special kinds.  A vertex body's dilation is the
+        hull of its vertices moved to every corner of delta * [-1,1]^n; its
+        H-representation is built once per delta and cached on the body.
         """
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
@@ -255,45 +274,14 @@ class ConvexBody:
             ok = (np.min(w, axis=1) >= -delta - MEMBERSHIP_TOL) & (
                 np.sum(np.maximum(w - delta, 0.0), axis=1) <= s + MEMBERSHIP_TOL
             )
-        elif self.dim == 2:
-            # in 2-D the dilation's facet normals are those of the body plus
-            # the axis directions, so offset supports give an exact H-rep
-            A, b = self.halfspaces
-            ok = np.all(pts @ A.T <= b + delta * np.abs(A).sum(axis=1) + MEMBERSHIP_TOL, axis=1)
         else:
-            ok = np.array([
-                _box_reaches_body(self, p - delta, p + delta) for p in pts
-            ])
+            if delta not in self._dilations:
+                corners = np.array(list(itertools.product((-delta, delta), repeat=n)))
+                sums = (self.vertices[:, None, :] + corners[None, :, :]).reshape(-1, n)
+                self._dilations[delta] = _hull_hrep(sums)
+            A, b = self._dilations[delta]
+            ok = np.all(pts @ A.T <= b + MEMBERSHIP_TOL, axis=1)
         return bool(ok[0]) if single else ok
-
-
-def _box_reaches_body(body: ConvexBody, lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Does the axis box [lo, hi] intersect the body?"""
-    n, s = body.dim, body.scale
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(lo > hi + MEMBERSHIP_TOL):
-        return False
-    if body.kind == CUBE:
-        return bool(np.all(lo <= s + MEMBERSHIP_TOL) and np.all(hi >= -s - MEMBERSHIP_TOL))
-    if body.kind == CROSSPOLYTOPE:
-        nearest = np.maximum(np.maximum(lo, -hi), 0.0)
-        return bool(nearest.sum() <= s + MEMBERSHIP_TOL)
-    if body.kind == SIMPLEX:
-        shift = s / (n + 1)
-        c_lo, c_hi = lo + shift, hi + shift
-        if np.any(c_hi < -MEMBERSHIP_TOL):
-            return False
-        return bool(np.sum(np.maximum(c_lo, 0.0)) <= s + MEMBERSHIP_TOL)
-    A, b = body.halfspaces
-    rows = [(A[i], lpcore.LE, b[i]) for i in range(A.shape[0])]
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        rows.append((e, lpcore.LE, hi[j]))
-        rows.append((-e, lpcore.LE, -lo[j]))
-    pt = lpcore.feasible_point(*zip(*rows), dim=n)
-    return pt is not None
 
 
 # --- homothets ----------------------------------------------------------
@@ -392,6 +380,12 @@ class MinkowskiCombo:
     def dim(self) -> int:
         return self.body.dim
 
+    @cached_property
+    def halfspaces(self):
+        """(A, b) with unit rows: the hull of {plus * v_i - minus * v_j}."""
+        V, a, c = self.body.vertices, self.plus_coeff, self.minus_coeff
+        return _hull_hrep((a * V[:, None, :] - c * V[None, :, :]).reshape(-1, self.dim))
+
 
 def bounding_box(combo: MinkowskiCombo):
     """Tight axis-aligned box of a K-combination, from per-axis supports."""
@@ -409,8 +403,8 @@ def combo_contains(combo: MinkowskiCombo, points):
 
     Closed forms: symmetric kinds reduce to a single scaled copy; simplex
     kinds (including any (n+1)-vertex body) reduce to positive/negative
-    part sums in standard-simplex coordinates.  Everything else solves one
-    feasibility LP over barycentric weights of both copies per point.
+    part sums in standard-simplex coordinates.  Everything else tests the
+    combination's cached H-representation (``MinkowskiCombo.halfspaces``).
     """
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
@@ -425,16 +419,15 @@ def combo_contains(combo: MinkowskiCombo, points):
         ok = homothet_contains(body, np.zeros(combo.dim), 1.0, -pts / c)
     elif body.kind in _SYMMETRIC_KINDS:
         ok = homothet_contains(body, np.zeros(combo.dim), 1.0, pts / (a + c))
+    elif body._simplex_frame is not None:
+        v0, Minv = body._simplex_frame
+        y = (pts - (a - c) * v0) @ Minv.T
+        ok = (np.sum(np.maximum(y, 0.0), axis=1) <= a + MEMBERSHIP_TOL) & (
+            np.sum(np.maximum(-y, 0.0), axis=1) <= c + MEMBERSHIP_TOL
+        )
     else:
-        frame = body._simplex_frame
-        if frame is not None:
-            v0, Minv = frame
-            y = (pts - (a - c) * v0) @ Minv.T
-            ok = (np.sum(np.maximum(y, 0.0), axis=1) <= a + MEMBERSHIP_TOL) & (
-                np.sum(np.maximum(-y, 0.0), axis=1) <= c + MEMBERSHIP_TOL
-            )
-        else:
-            ok = np.array([combo_contains_lp(combo, p) for p in pts])
+        A, b = combo.halfspaces
+        ok = np.all(pts @ A.T <= b + MEMBERSHIP_TOL, axis=1)
     return bool(ok[0]) if single else ok
 
 

@@ -291,8 +291,9 @@ def _common_flags(p: argparse.ArgumentParser, body: bool = True) -> None:
                        help="cube | simplex | crosspolytope | path to body JSON")
         p.add_argument("--dim", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count(),
-                   help="worker hint for probe partitioning")
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads for probe partitioning, at most the usable "
+                        "CPUs (default: HOMCOVER_THREADS, else all of them)")
     p.add_argument("--out", default=None, help="write the JSON result here")
 
 
@@ -368,8 +369,9 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     started = time.time()
-    runtime.set_threads(getattr(args, "threads", None))
     try:
+        runtime.set_threads(getattr(args, "threads", None))
+        runtime.get_threads()  # a malformed HOMCOVER_THREADS fails here, before any work
         outputs = args.func(args)
     except _VerificationFailed:
         return EXIT_VERIFY

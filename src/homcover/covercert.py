@@ -111,7 +111,8 @@ def refute_cover(body: ConvexBody, placements: Sequence[HomothetPlacement],
         np.zeros(probes, dtype=bool)
     if not covered.all():
         first = int(np.argmax(~covered))
-        return CoverageVerdict(REFUTED, epsilon=0.0, witness=pts[first],
+        # a copy: a row view would keep the whole probe array alive with the verdict
+        return CoverageVerdict(REFUTED, epsilon=0.0, witness=pts[first].copy(),
                                probes_used=first + 1)
     return CoverageVerdict(UNKNOWN, epsilon=0.0, probes_used=probes)
 

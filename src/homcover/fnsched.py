@@ -30,7 +30,6 @@ from .bodies import (
     ConvexBody,
     HomothetPlacement,
     MinkowskiCombo,
-    _box_reaches_body,
     combo_contains,
     cover_factor,
     covered_by_union,
@@ -218,7 +217,8 @@ def dyadic_plan(seq: RatioSequence, n: int, *, body_volume: float,
 
 def _sample_box_minus_body(side: float, body: ConvexBody, coeff: float,
                            rng: RngSpec, count: int) -> np.ndarray:
-    """Uniform points in side*B_inf - coeff*K by rejection from the box."""
+    """Uniform points in side*B_inf - coeff*K by rejection from the box:
+    x is in that set exactly when -x/coeff is in K + (side/coeff)*B_inf."""
     V = body.vertices
     hi = side - coeff * V.min(axis=0)
     lo = -side - coeff * V.max(axis=0)
@@ -228,13 +228,7 @@ def _sample_box_minus_body(side: float, body: ConvexBody, coeff: float,
     tries = 0
     while got < count:
         batch = gen.uniform(lo, hi, size=(max(64, count), body.dim))
-        if body.kind == "cube":
-            keep = np.ones(batch.shape[0], dtype=bool)  # box - cube is a box
-        else:
-            keep = np.array([
-                _box_reaches_body(body, (-side - x) / coeff, (side - x) / coeff)
-                for x in batch
-            ])
+        keep = body.dilated_contains(-batch / coeff, side / coeff)
         out.append(batch[keep])
         got += int(keep.sum())
         tries += batch.shape[0]
@@ -477,12 +471,9 @@ def schedule_covering(body: ConvexBody, seq: RatioSequence, rng: RngSpec, *,
     step = 2.0 * tile_scale
     j_lo = np.floor((lo - margin) / step - 0.5).astype(int)
     j_hi = np.ceil((hi + margin) / step + 0.5).astype(int)
-    tiling = []
-    for jj in np.ndindex(*(j_hi - j_lo + 1)):
-        center = (np.array(jj) + j_lo) * step
-        if _box_reaches_body(normalized, center - tile_scale - margin,
-                             center + tile_scale + margin):
-            tiling.append(center)
+    # a cell meets the body exactly when its centre lies in K + half-width * B_inf
+    cells = (np.array(list(np.ndindex(*(j_hi - j_lo + 1)))) + j_lo) * step
+    tiling = list(cells[normalized.dilated_contains(cells, tile_scale + margin)])
 
     plan = dyadic_plan(seq, n, body_volume=vol_norm, tiling_centers=tiling,
                        tile_scale=tile_scale, mode=mode, multiplier=multiplier)

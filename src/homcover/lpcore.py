@@ -238,13 +238,6 @@ def _feasibility_residual(lp: LinearProgram, x: np.ndarray) -> float:
     return float(resid)
 
 
-def feasible_point(coeffs, relations, bounds, dim: int) -> Optional[np.ndarray]:
-    """Find any point satisfying the rows, or None if the system is infeasible."""
-    lp = LinearProgram(np.zeros(dim), list(zip(coeffs, relations, bounds)))
-    out = solve(lp)
-    return out.solution if out.status == OPTIMAL else None
-
-
 def chebyshev_center(A, b):
     """Center and radius of the largest inscribed Euclidean ball of {A x <= b}.
 

@@ -84,7 +84,11 @@ def wilson_interval(hits: int, trials: int, z: float = 1.959963984540054):
 def sample_uniform(combo: MinkowskiCombo, rng: RngSpec, count: int,
                    batch: int = 8192) -> np.ndarray:
     """i.i.d. uniform points in plus*K - minus*K by rejection from its
-    bounding box.  Every returned point satisfies combo_contains."""
+    bounding box.  Every returned point satisfies combo_contains.
+
+    Proposals come in batches that start at max(16, count) and double up to
+    ``batch``.  The Philox stream does not depend on how it is cut into
+    batches, so the points returned do not depend on ``batch`` either."""
     if count < 1:
         raise ValueError("count must be positive")
     lo, hi = bounding_box(combo)
@@ -93,10 +97,12 @@ def sample_uniform(combo: MinkowskiCombo, rng: RngSpec, count: int,
     got = 0
     proposals = 0
     accepts = 0
+    size = min(batch, max(16, count))
     while got < count:
-        pts = gen.uniform(lo, hi, size=(batch, combo.dim))
+        pts = gen.uniform(lo, hi, size=(size, combo.dim))
         keep = combo_contains(combo, pts)
-        proposals += batch
+        proposals += size
+        size = min(2 * size, batch)
         accepts += int(keep.sum())
         if accepts == 0 and proposals >= _PROBE_PROPOSALS:
             raise RejectionTooSlow(

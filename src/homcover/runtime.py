@@ -19,20 +19,28 @@ _PARALLEL_MIN_POINTS = 50_000
 
 
 def get_threads() -> int:
-    if _threads is not None:
-        return _threads
-    env = os.environ.get(_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    """Worker count: set_threads, else HOMCOVER_THREADS, else every usable
+    CPU; never more than the usable CPUs.  A HOMCOVER_THREADS that is not
+    a nonnegative integer raises ValueError."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    count = _threads
+    if count is None:
+        env = os.environ.get(_ENV_VAR)
+        if not env:
+            return cpus
+        if not env.isdecimal():
+            raise ValueError(f"{_ENV_VAR}={env!r} is not a nonnegative integer")
+        count = int(env)
+    return min(max(1, count), cpus)
 
 
 def set_threads(count) -> None:
+    """Pin the worker count; None or 0 restores the default."""
     global _threads
-    _threads = max(1, int(count)) if count else None
+    if count is not None and int(count) < 0:
+        raise ValueError(f"thread count must be nonnegative, got {count}")
+    _threads = int(count) if count else None
 
 
 def chunked_mask(fn, points: np.ndarray) -> np.ndarray:

@@ -127,6 +127,15 @@ def test_input_errors_exit_2(tmp_path):
     assert dispatch(["volume", "--body", "nosuchfile.json", "--dim", "2"]) == EXIT_INPUT
     assert dispatch(["bounds", "--body", "cube"]) == EXIT_INPUT  # missing --dim
     assert dispatch(["nonsense"]) == EXIT_INPUT
+    assert dispatch(["bounds", "--dim", "2", "--body", "cube", "--threads", "-1"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "-3"])
+def test_bad_thread_env_exits_2(monkeypatch, tmp_path, value):
+    monkeypatch.setenv("HOMCOVER_THREADS", value)
+    out = tmp_path / "bounds.json"
+    assert dispatch(["bounds", "--dim", "2", "--body", "cube", "--out", str(out)]) == EXIT_INPUT
+    assert not out.exists()
 
 
 def test_body_json_file(tmp_path):

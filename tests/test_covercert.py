@@ -57,6 +57,7 @@ def test_refute_finds_the_uncovered_quadrant():
     verdict = refute_cover(SQUARE, placements, RngSpec(5), 100_000)
     assert verdict.status == REFUTED
     w = verdict.witness
+    assert w.base is None  # a copy: the verdict does not keep the probe array alive
     assert w[0] > 0.2 and w[1] < -0.2  # the region no homothet reaches
     assert SQUARE.contains(w, "closed")
     assert not covered_by_union(SQUARE, placements, w[None, :])[0]
