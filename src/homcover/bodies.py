@@ -5,7 +5,9 @@ recentered at its centroid, cross-polytope = conv{+-s*e_j}) carry
 closed-form facets and closed-form Minkowski-combination membership.
 General vertex bodies get hull facets (2-D: monotone chain, higher
 dimensions: qhull); their combinations aK - cK and dilations K + dB_inf are
-hulls of vertex sums, tested by one ``A x <= b`` on a cached qhull H-rep.
+hulls of vertex sums, tested by one ``A x <= b`` on a qhull H-rep cached on
+the body per coefficient pair.  ``first_cover`` is the one coverage kernel
+behind ``covered_by_union``, certification, refutation and net covering.
 """
 
 from __future__ import annotations
@@ -17,10 +19,14 @@ from typing import Sequence
 
 import numpy as np
 
-from . import lpcore
+from . import lpcore, runtime
 
 INTERIOR_MARGIN = 1e-7
 MEMBERSHIP_TOL = 1e-9
+# first_cover: box padding, so points the MEMBERSHIP_TOL slack admits near a
+# sharp vertex stay in a copy's cells; (copy, point, facet) entries per block
+_BOX_PAD = 1e-6
+_PAIR_BLOCK = 1 << 18
 
 CUBE = "cube"
 SIMPLEX = "simplex"
@@ -90,7 +96,7 @@ class ConvexBody:
         self.scale = float(scale)
         vertices.setflags(write=False)
         self.vertices = vertices
-        self._dilations = {}  # delta -> H-rep of body + delta * B_inf
+        self._hreps = {}  # vertex-sum H-reps: delta -> K + delta B_inf, (a, c) -> aK - cK
 
     # --- constructors -------------------------------------------------
 
@@ -275,11 +281,11 @@ class ConvexBody:
                 np.sum(np.maximum(w - delta, 0.0), axis=1) <= s + MEMBERSHIP_TOL
             )
         else:
-            if delta not in self._dilations:
+            if delta not in self._hreps:
                 corners = np.array(list(itertools.product((-delta, delta), repeat=n)))
                 sums = (self.vertices[:, None, :] + corners[None, :, :]).reshape(-1, n)
-                self._dilations[delta] = _hull_hrep(sums)
-            A, b = self._dilations[delta]
+                self._hreps[delta] = _hull_hrep(sums)
+            A, b = self._hreps[delta]
             ok = np.all(pts @ A.T <= b + MEMBERSHIP_TOL, axis=1)
         return bool(ok[0]) if single else ok
 
@@ -312,51 +318,108 @@ def homothet_contains(body: ConvexBody, center, ratio: float, points, tol: float
 def covered_by_union(body: ConvexBody, placements: Sequence[HomothetPlacement], points,
                      shrink: float = 0.0):
     """Boolean mask: which points lie in the union of (possibly shrunken)
-    homothets of ``body``.
+    homothets of ``body``; ``first_cover(...) >= 0``.
 
-    Homothets whose shrunken ratio is <= 0 cover nothing.  Points are
-    pre-sorted along the first axis so each homothet only examines the
-    candidates inside its bounding slab.  Large point sets are chunked
-    across the configured worker threads.
+    Homothets whose shrunken ratio is <= 0 cover nothing.  Large point sets
+    are chunked across the configured worker threads.
     """
-    from . import runtime
-
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     body.halfspaces  # populate the cache before any thread fan-out
-    if pts.shape[0] >= runtime._PARALLEL_MIN_POINTS and runtime.get_threads() > 1:
-        return runtime.chunked_mask(
-            lambda chunk: _covered_by_union_chunk(body, placements, chunk, shrink), pts)
-    return _covered_by_union_chunk(body, placements, pts, shrink)
+    return runtime.chunked_mask(
+        lambda chunk: first_cover(body, placements, chunk, shrink) >= 0, pts)
 
 
-def _covered_by_union_chunk(body: ConvexBody, placements, pts: np.ndarray,
-                            shrink: float):
-    m = pts.shape[0]
-    covered = np.zeros(m, dtype=bool)
-    if m == 0:
-        return covered
+def first_cover(body: ConvexBody, placements: Sequence[HomothetPlacement], points,
+                shrink: float = 0.0) -> np.ndarray:
+    """For each point, the index of the first placement whose shrunken copy
+    center + (ratio - shrink) * body contains it (closed, up to
+    MEMBERSHIP_TOL per facet), or -1; copies with ratio - shrink <= 0 cover
+    nothing.  Each copy is paired with the points near its box (``_cell_runs``;
+    all points when the pairs are few), and the pairs are tested in blocks of
+    consecutive copies against the points no earlier block covered.  Blocks
+    start at one copy and double, so early copies that cover much save work.
+    """
+    pts_t = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)).T)
+    n, m = pts_t.shape
+    first = np.full(m, -1, dtype=np.int64)
+    radii = np.array([pl.ratio for pl in placements], dtype=float) - shrink
+    ids = np.flatnonzero(radii > 0.0)
+    if m == 0 or ids.size == 0:
+        return first
     A, b = body.halfspaces
-    lo, hi = body.vertex_bbox
-    order = np.argsort(pts[:, 0], kind="stable")
-    x_sorted = pts[order, 0]
-    for pl in placements:
-        r = pl.ratio - shrink
-        if r <= 0.0:
-            continue
-        c = pl.center
-        left = np.searchsorted(x_sorted, c[0] + r * lo[0] - 1e-9, side="left")
-        right = np.searchsorted(x_sorted, c[0] + r * hi[0] + 1e-9, side="right")
-        if left >= right:
-            continue
-        cand = order[left:right]
-        cand = cand[~covered[cand]]
-        if cand.size == 0:
-            continue
-        inside = np.all((pts[cand] - c) @ A.T <= r * b + MEMBERSHIP_TOL, axis=1)
-        covered[cand[inside]] = True
-        if covered.all():
-            break
-    return covered
+    centers = np.array([placements[i].center for i in ids], dtype=float)
+    budget = max(1, _PAIR_BLOCK // b.size)
+    if m * ids.size <= budget:  # few pairs: every copy meets every point
+        order = np.arange(m)
+        run_lo = np.zeros((ids.size, 1), dtype=np.intp)
+        run_len = np.full((ids.size, 1), m, dtype=np.intp)
+    else:
+        meets, order, run_lo, run_len = _cell_runs(pts_t, centers, radii[ids], *body.vertex_bbox)
+        ids, centers = ids[meets], centers[meets]
+    centers_t = np.ascontiguousarray(centers.T)
+    bounds_t = b[:, None] * radii[ids] + MEMBERSHIP_TOL  # r * b + tol, a column per copy
+    pairs_upto = np.cumsum(run_len.sum(axis=1))
+
+    best = np.full(m, ids.size, dtype=np.intp)  # first hitting copy, per point
+    remaining, k0, size = m, 0, 1
+    while k0 < ids.size and remaining:
+        done = pairs_upto[k0 - 1] if k0 else 0
+        k1 = min(k0 + size, max(k0 + 1, int(np.searchsorted(pairs_upto, done + budget, "right"))))
+        size *= 2
+        lens = run_len[k0:k1].ravel()
+        ends = np.cumsum(lens)
+        cand = order[np.arange(ends[-1]) + np.repeat(run_lo[k0:k1].ravel() - ends + lens, lens)]
+        copy = np.repeat(np.repeat(np.arange(k0, k1), run_len.shape[1]), lens)
+        uncovered = first[cand] < 0
+        cand, copy = cand[uncovered], copy[uncovered]
+        offsets = np.take(pts_t, cand, axis=1)
+        for row, center in zip(offsets, centers_t):
+            row -= center[copy]
+        # row by row in place, to hold one (facets x pairs) array; for finite
+        # doubles fl(x - y) <= 0 exactly when x <= y
+        slack = A @ offsets
+        for row, bound in zip(slack, bounds_t):
+            row -= bound[copy]
+        inside = np.all(slack <= 0.0, axis=0)
+        hit, copy = cand[inside], copy[inside]
+        np.minimum.at(best, hit, copy)
+        first[hit] = ids[best[hit]]
+        remaining -= np.count_nonzero(best[hit] == copy)  # one winning pair per point
+        k0 = k1
+    return first
+
+
+def _cell_runs(pts_t: np.ndarray, centers: np.ndarray, radii: np.ndarray, lo, hi):
+    """Bucket the points (columns of ``pts_t``) on cells half as wide as the
+    largest copy's box, widened until cells are no more than points.  Returns
+    which copies' padded boxes meet the points, the points in cell order, and
+    per meeting copy the (start, length) runs of the cells its box meets."""
+    n, m = pts_t.shape
+    origin = pts_t.min(axis=1)
+    extent = pts_t.max(axis=1) - origin
+    cell = radii.max() * (hi - lo) / 2.0
+    while np.prod(np.floor(extent / cell) + 1) > m:
+        cell = 2.0 * cell
+    shape = (np.floor(extent / cell) + 1).astype(np.intp)
+    keys = np.ravel_multi_index(tuple(np.minimum((pts_t - origin[:, None]) / cell[:, None],
+                                                 shape[:, None] - 1).astype(np.intp)), shape)
+    order = np.argsort(keys)  # the order inside a cell does not matter
+    starts = np.zeros(int(np.prod(shape)) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys, minlength=starts.size - 1), out=starts[1:])
+    del keys
+
+    r = radii[:, None]
+    c_lo = np.floor((centers + r * lo - _BOX_PAD - origin) / cell)
+    c_hi = np.floor((centers + r * hi + _BOX_PAD - origin) / cell)
+    meets = np.all((c_hi >= 0) & (c_lo < shape), axis=1)
+    c_lo = np.clip(c_lo[meets], 0, shape - 1).astype(np.intp)[:, None, :]
+    c_hi = np.clip(c_hi[meets], 0, shape - 1).astype(np.intp)[:, None, :]
+    span = int((c_hi - c_lo).max(initial=0)) + 1
+    cells = c_lo + np.array(list(np.ndindex(*(span,) * n)), dtype=np.intp)
+    flat = np.ravel_multi_index(tuple(np.minimum(cells, c_hi).T), shape).T
+    run_lo = starts[flat]
+    run_len = np.where(np.all(cells <= c_hi, axis=2), starts[flat + 1] - run_lo, 0)
+    return meets, order, run_lo, run_len
 
 
 # --- Minkowski combinations ----------------------------------------------
@@ -380,11 +443,14 @@ class MinkowskiCombo:
     def dim(self) -> int:
         return self.body.dim
 
-    @cached_property
+    @property
     def halfspaces(self):
-        """(A, b) with unit rows: the hull of {plus * v_i - minus * v_j}."""
-        V, a, c = self.body.vertices, self.plus_coeff, self.minus_coeff
-        return _hull_hrep((a * V[:, None, :] - c * V[None, :, :]).reshape(-1, self.dim))
+        """(A, b) with unit rows: hull of {plus * v_i - minus * v_j}, cached on the body."""
+        V, key = self.body.vertices, (self.plus_coeff, self.minus_coeff)
+        if key not in self.body._hreps:
+            self.body._hreps[key] = _hull_hrep(
+                (key[0] * V[:, None, :] - key[1] * V[None, :, :]).reshape(-1, self.dim))
+        return self.body._hreps[key]
 
 
 def bounding_box(combo: MinkowskiCombo):

@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -101,8 +102,11 @@ def _load_body(name_or_path: str, dim: Optional[int]) -> ConvexBody:
 def _ratios_from_args(args) -> list:
     if args.ratios:
         with open(args.ratios) as fh:
-            data = json.load(fh)
-        return [float(r) for r in data]
+            data = json.load(fh, parse_int=float)  # huge integers become inf, not errors
+        if not isinstance(data, list) or not all(
+                type(r) is float and math.isfinite(r) for r in data):
+            raise ValueError(f"{args.ratios}: ratios must be a JSON list of finite numbers")
+        return data
     if args.lam is None or args.count is None:
         raise ValueError("provide either --ratios or both --lambda and --count")
     return [args.lam] * args.count

@@ -8,6 +8,10 @@ copies cover the target.  The condition is sufficient, never necessary,
 so the result is a tri-state verdict.  Placements may reference a piece
 body different from the target; the shrink is then scaled by the factor
 needed to swallow one target gauge step inside the piece body.
+
+Certification and refutation share one coverage kernel, ``bodies.first_cover``
+(the assignment is each net point's first covering copy); an embedded
+assignment is replayed in one vectorised check, a digest-only one re-searched.
 """
 
 from __future__ import annotations
@@ -18,12 +22,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import nets
+from . import runtime
 from .bodies import (
+    MEMBERSHIP_TOL,
     ConvexBody,
     HomothetPlacement,
     cover_factor,
     covered_by_union,
+    first_cover,
 )
 from .nets import EpsNet, build_net
 from .randvol import RngSpec, sample_uniform_body
@@ -66,33 +72,10 @@ def certify_cover(body: ConvexBody, placements: Sequence[HomothetPlacement],
     pieces = pieces_body if pieces_body is not None else body
     shrink = epsilon * cover_factor(body, pieces)
 
-    pts = net.points
-    A, b = pieces.halfspaces
-    lo, hi = pieces.vertex_bbox
-    order = np.argsort(pts[:, 0], kind="stable")
-    x_sorted = pts[order, 0]
-    assignment = np.full(net.size, -1, dtype=np.int64)
-    remaining = net.size
-    for i, pl in enumerate(placements):
-        r = pl.ratio - shrink
-        if r <= 0.0:
-            continue  # empty shrunken copy: contributes nothing
-        c = pl.center
-        left = np.searchsorted(x_sorted, c[0] + r * lo[0] - 1e-9, side="left")
-        right = np.searchsorted(x_sorted, c[0] + r * hi[0] + 1e-9, side="right")
-        if left >= right:
-            continue
-        cand = order[left:right]
-        cand = cand[assignment[cand] < 0]
-        if cand.size == 0:
-            continue
-        inside = np.all((pts[cand] - c) @ A.T <= r * b + 1e-9, axis=1)
-        hit = cand[inside]
-        assignment[hit] = i
-        remaining -= hit.size
-        if remaining == 0:
-            break
-    if remaining == 0:
+    pieces.halfspaces  # populate the cache before any thread fan-out
+    assignment = runtime.chunked_mask(
+        lambda chunk: first_cover(pieces, placements, chunk, shrink), net.points)
+    if assignment.min() >= 0:
         return CoverageVerdict(CERTIFIED, epsilon, shrink=shrink,
                                assignment=assignment, net=net)
     return CoverageVerdict(UNKNOWN, epsilon, shrink=shrink, net=net)
@@ -107,8 +90,7 @@ def refute_cover(body: ConvexBody, placements: Sequence[HomothetPlacement],
         raise ValueError("probes must be positive")
     pieces = pieces_body if pieces_body is not None else body
     pts = sample_uniform_body(body, rng, probes)
-    covered = covered_by_union(pieces, placements, pts) if placements else \
-        np.zeros(probes, dtype=bool)
+    covered = covered_by_union(pieces, placements, pts)
     if not covered.all():
         first = int(np.argmax(~covered))
         # a copy: a row view would keep the whole probe array alive with the verdict
@@ -170,7 +152,8 @@ def verdict_to_dict(verdict: CoverageVerdict, body: ConvexBody,
         }
     if verdict.assignment is not None:
         if verdict.assignment.size <= ASSIGNMENT_EMBED_LIMIT:
-            out["assignment"] = [[int(j), int(i)] for j, i in enumerate(verdict.assignment)]
+            out["assignment"] = np.column_stack(
+                (np.arange(verdict.assignment.size), verdict.assignment)).tolist()
         else:
             out["assignmentDigest"] = hashlib.sha256(
                 np.ascontiguousarray(verdict.assignment, dtype=np.int64).tobytes()
@@ -182,8 +165,9 @@ def recheck_certificate(cert: dict) -> bool:
     """Replay every membership claim of a serialized covering verdict.
 
     Certified: rebuild the net deterministically, compare its digest, then
-    re-verify each net point against its assigned shrunken homothet (or
-    re-run the full assignment when only a digest was embedded).  Refuted:
+    check that the embedded pairs name every net point exactly once and
+    that each lies in its assigned shrunken homothet, all in one vectorised
+    test (or re-run the full assignment when only a digest was embedded).  Refuted:
     the witness must lie in the body and outside every unshrunken homothet.
     """
     if cert.get("type") != "covering":
@@ -212,24 +196,22 @@ def recheck_certificate(cert: dict) -> bool:
         shrink = epsilon * cover_factor(body, pieces)
         if abs(shrink - float(cert["shrink"])) > 1e-9:
             return False
-        A, b = pieces.halfspaces
         if "assignment" in cert:
-            pairs = cert["assignment"]
-            if len(pairs) != net.size:
+            pairs = np.asarray(cert["assignment"])
+            if pairs.shape != (net.size, 2) or pairs.dtype.kind != "i":
                 return False
-            seen = np.zeros(net.size, dtype=bool)
-            for net_idx, hom_idx in pairs:
-                if not 0 <= net_idx < net.size or not 0 <= hom_idx < len(placements):
-                    return False
-                pl = placements[hom_idx]
-                r = pl.ratio - shrink
-                if r <= 0.0:
-                    return False
-                y = net.points[net_idx]
-                if not np.all((y - pl.center) @ A.T <= r * b + 1e-9):
-                    return False
-                seen[net_idx] = True
-            return bool(seen.all())
+            j, a = pairs[:, 0], pairs[:, 1]
+            if j.min() < 0 or j.max() >= net.size or a.min() < 0 or a.max() >= len(placements):
+                return False
+            if np.any(np.bincount(j, minlength=net.size) != 1):
+                return False  # every net point exactly once
+            radii = np.array([pl.ratio for pl in placements])[a] - shrink
+            if np.any(radii <= 0.0):
+                return False
+            centers = np.array([pl.center for pl in placements])[a]
+            A, b = pieces.halfspaces
+            return bool(np.all((net.points[j] - centers) @ A.T
+                               <= radii[:, None] * b + MEMBERSHIP_TOL))
         redo = certify_cover(body, placements, epsilon, net=net, pieces_body=pieces)
         if redo.status != CERTIFIED:
             return False

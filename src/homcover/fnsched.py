@@ -6,7 +6,9 @@ lambda * n^5, each class is cut into volume-certified partitions, and each
 partition covers one dyadic cube of a tiling of the body.  A single cube
 is covered in two phases: a random prefix placed uniformly in the slightly
 inflated cube, then a deterministic patch pass that lays the remaining
-pieces on a separated subset of the grid points the prefix missed.
+pieces on a separated subset of the grid points the prefix missed.  The
+patch pass walks the missed points in grid order; each chosen point blocks
+the later points in its separation zone with one vectorised test.
 
 Every phase carries an explicit shrink margin, so the final verdict always
 comes from an independent coverage certificate, never from the scheduling
@@ -30,6 +32,7 @@ from .bodies import (
     ConvexBody,
     HomothetPlacement,
     MinkowskiCombo,
+    bounding_box,
     combo_contains,
     cover_factor,
     covered_by_union,
@@ -251,6 +254,25 @@ def separation_radius(pieces_body: ConvexBody, lam_min: float, shrink: float, n:
     return min(1.0 / (2.0 * n * math.log(n)), usable / (2.0 * gamma))
 
 
+def _separated_subset(points: np.ndarray, zone: MinkowskiCombo) -> np.ndarray:
+    """Rows of ``points`` (sorted on the first axis) kept by a greedy pass: g is
+    kept unless g - p is in ``zone`` for an earlier kept p.  Each kept p blocks
+    its (symmetric) zone, at most its width ahead, with one vectorised test."""
+    zone_lo, zone_hi = bounding_box(zone)
+    ends = np.searchsorted(points[:, 0], points[:, 0] + (zone_hi[0] - zone_lo[0]),
+                           side="right")
+    blocked = np.zeros(points.shape[0], dtype=bool)
+    kept = []
+    i = 0
+    while i < points.shape[0]:
+        kept.append(i)
+        window = slice(i + 1, ends[i])
+        blocked[window] |= combo_contains(zone, points[window] - points[i])
+        free = np.flatnonzero(~blocked[i + 1:])
+        i = i + 1 + free[0] if free.size else points.shape[0]
+    return points[kept]
+
+
 def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence[float],
                       rng: RngSpec, *, mode: str = MODE_DESK,
                       multiplier: float = DESK_MULTIPLIER,
@@ -326,32 +348,13 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
     def keep(pts, half):
         return np.all(np.abs(pts + anchor) <= side_marked + half, axis=1)
 
-    grid_pts, h_g, _ = nets.gauge_grid(n, keep, sigma_g * r_k, anchor, box_lo, box_hi)
+    grid_pts, _ = nets.gauge_grid(n, keep, sigma_g * r_k, anchor, box_lo, box_hi)
     covered = covered_by_union(body, placements, grid_pts, shrink=shrink)
     marked = grid_pts[~covered]
 
     # phase 2: separated patch points, in grid order
     sigma_d = separation_radius(body, lam_min_patch, shrink, n)
-    zone = MinkowskiCombo(body, 2.0 * sigma_d, 2.0 * sigma_d)
-    zone_lo, zone_hi = (2.0 * sigma_d * (body.vertices.min(axis=0) - body.vertices.max(axis=0)),
-                        2.0 * sigma_d * (body.vertices.max(axis=0) - body.vertices.min(axis=0)))
-    cell = np.maximum(zone_hi - zone_lo, 1e-12)
-    chosen: list[np.ndarray] = []
-    buckets: dict = {}
-    for g in marked:
-        key = tuple((g // cell).astype(int))
-        blocked = False
-        for off in np.ndindex(*(3,) * n):
-            neigh = tuple(np.array(key) + np.array(off) - 1)
-            for p in buckets.get(neigh, ()):
-                if combo_contains(zone, g - p):
-                    blocked = True
-                    break
-            if blocked:
-                break
-        if not blocked:
-            chosen.append(g)
-            buckets.setdefault(key, []).append(g)
+    chosen = _separated_subset(marked, MinkowskiCombo(body, 2.0 * sigma_d, 2.0 * sigma_d))
 
     available = M - m_prime
     if len(chosen) > available:
@@ -359,7 +362,7 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
             f"patch needs {len(chosen)} pieces but only {available} remain "
             f"(shortfall {len(chosen) - available})")
     for j in range(m_prime, M):
-        if chosen:
+        if len(chosen):
             pos = chosen[(j - m_prime) % len(chosen)]
         else:
             pos = np.zeros(n)

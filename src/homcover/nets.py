@@ -17,12 +17,12 @@ probabilistic step anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .bodies import ConvexBody
+from .bodies import ConvexBody, HomothetPlacement, first_cover
 
 GRID_SLACK = 0.01
 MAX_NET_POINTS = 10_000_000
@@ -43,38 +43,13 @@ def default_epsilon(n: int) -> float:
     return max(a_n / (n * math.log(n)), EPSILON_FLOOR)
 
 
-class GridIndex:
-    """Compact lookup from integer grid coordinates to net row numbers."""
-
-    def __init__(self, indices: np.ndarray):
-        self.j_lo = indices.min(axis=0)
-        spans = indices.max(axis=0) - self.j_lo + 1
-        self.strides = np.cumprod(np.concatenate([[1], spans[:0:-1]]))[::-1].copy()
-        self.spans = spans
-        keys = (indices - self.j_lo) @ self.strides
-        order = np.argsort(keys, kind="stable")
-        self.sorted_keys = keys[order]
-        self.sorted_rows = order.astype(np.int64)
-
-    def lookup(self, j: np.ndarray) -> np.ndarray:
-        """Row numbers for integer coordinates j (N, dim); -1 when absent."""
-        j = np.atleast_2d(j)
-        shifted = j - self.j_lo
-        in_range = np.all((shifted >= 0) & (shifted < self.spans), axis=1)
-        keys = np.where(in_range, shifted @ self.strides, 0)
-        pos = np.searchsorted(self.sorted_keys, keys)
-        pos = np.minimum(pos, self.sorted_keys.size - 1)
-        found = in_range & (self.sorted_keys[pos] == keys)
-        return np.where(found, self.sorted_rows[pos], -1)
-
-
 def gauge_grid(dim: int, keep_fn: Callable, inradius: float, anchor: np.ndarray,
                bbox_lo: np.ndarray, bbox_hi: np.ndarray,
                max_points: int = MAX_NET_POINTS):
     """Shared grid builder.
 
     keep_fn(points, half_spacing) must return the mask of grid points whose
-    cell reaches the covering target.  Returns (points, spacing, GridIndex).
+    cell reaches the covering target.  Returns (points, spacing).
     """
     if inradius <= 0:
         raise ValueError("gauge inradius must be positive")
@@ -92,7 +67,6 @@ def gauge_grid(dim: int, keep_fn: Callable, inradius: float, anchor: np.ndarray,
 
     axes = [np.arange(j_lo[d], j_hi[d] + 1) for d in range(dim)]
     kept_pts = []
-    kept_idx = []
     # slabs along the first axis keep peak memory proportional to one slab
     tail = np.stack([g.ravel() for g in np.meshgrid(*axes[1:], indexing="ij")], axis=-1) \
         if dim > 1 else np.zeros((1, 0), dtype=int)
@@ -103,12 +77,9 @@ def gauge_grid(dim: int, keep_fn: Callable, inradius: float, anchor: np.ndarray,
         mask = keep_fn(pts, h / 2)
         if np.any(mask):
             kept_pts.append(pts[mask])
-            kept_idx.append(idx[mask])
     if not kept_pts:
         raise ValueError("grid kept no points; target appears empty")
-    points = np.concatenate(kept_pts)
-    indices = np.concatenate(kept_idx)
-    return points, h, GridIndex(indices)
+    return np.concatenate(kept_pts), h
 
 
 @dataclass(eq=False)
@@ -121,44 +92,18 @@ class EpsNet:
     certified_inradius: float
     anchor: np.ndarray
     body: ConvexBody
-    index: GridIndex = field(repr=False)
     cardinality_bound: float = 0.0  # the (5/epsilon)^n reference, informational
 
     @property
     def size(self) -> int:
         return self.points.shape[0]
 
-    def designated_indices(self, points) -> np.ndarray:
-        """Net index of the grid cell each point rounds to (-1 if absent)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        j = np.rint((pts - self.anchor) / self.grid_spacing).astype(int)
-        return self.index.lookup(j)
-
     def covering_indices(self, points):
-        """For each point x, an index of a net point y with x in y + eps*K.
-
-        The designated grid cell is tried first and verified by membership;
-        rare failures fall back to a full scan.  Returns (indices, ok_mask);
-        ok is False only when no net point covers x at all.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = self.designated_indices(pts)
-        A, b = self.body.halfspaces
-        bound = self.epsilon * b + 1e-9
-        ok = idx >= 0
-        sel = np.where(ok)[0]
-        diff = pts[sel] - self.points[idx[sel]]
-        good = np.all(diff @ A.T <= bound, axis=1)
-        ok[sel[~good]] = False
-        for i in np.where(~ok)[0]:
-            hits = np.all((pts[i] - self.points) @ A.T <= bound, axis=1)
-            j = np.argmax(hits)
-            if hits[j]:
-                idx[i] = j
-                ok[i] = True
-            else:
-                idx[i] = -1
-        return idx, ok
+        """For each point x, the index of the first net point y with x in
+        y + eps*K, or -1; and the mask of points that have one."""
+        copies = [HomothetPlacement(y, self.epsilon) for y in self.points]
+        idx = first_cover(self.body, copies, points)
+        return idx, idx >= 0
 
 
 def build_net(body: ConvexBody, epsilon: float,
@@ -174,7 +119,7 @@ def build_net(body: ConvexBody, epsilon: float,
     def keep(pts, half):
         return body.dilated_contains(pts + anchor, half)
 
-    points, h, index = gauge_grid(body.dim, keep, r, anchor, lo, hi, max_points)
+    points, h = gauge_grid(body.dim, keep, r, anchor, lo, hi, max_points)
     return EpsNet(
         epsilon=epsilon,
         points=points,
@@ -182,6 +127,5 @@ def build_net(body: ConvexBody, epsilon: float,
         certified_inradius=r,
         anchor=anchor,
         body=body,
-        index=index,
         cardinality_bound=(5.0 / epsilon) ** body.dim,
     )

@@ -44,7 +44,7 @@ def set_threads(count) -> None:
 
 
 def chunked_mask(fn, points: np.ndarray) -> np.ndarray:
-    """Evaluate a points -> bool-mask function, chunk-parallel when large."""
+    """Evaluate a points -> per-point array function, chunk-parallel when large."""
     n_threads = get_threads()
     m = points.shape[0]
     if n_threads <= 1 or m < _PARALLEL_MIN_POINTS:

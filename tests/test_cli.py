@@ -130,6 +130,27 @@ def test_input_errors_exit_2(tmp_path):
     assert dispatch(["bounds", "--dim", "2", "--body", "cube", "--threads", "-1"]) == EXIT_INPUT
 
 
+def test_ratio_file_is_read(tmp_path):
+    ratios = tmp_path / "ratios.json"
+    ratios.write_text(json.dumps([0.9] * 15))
+    out = tmp_path / "cover.json"
+    assert dispatch(["cover", "--body", "cube", "--dim", "2", "--ratios", str(ratios),
+                     "--trials", "2", "--seed", "21", "--epsilon", "0.05",
+                     "--probes", "1000", "--out", str(out)]) == EXIT_OK
+    assert read_json(out)["ratios"] == [0.9] * 15
+
+
+@pytest.mark.parametrize("content", ["0.5", "[null, 0.5]", '["0.5"]', "[true]", "[NaN]",
+                                     "[1" + "0" * 400 + "]", '{"ratios": [0.5]}'])
+def test_malformed_ratio_files_exit_2(tmp_path, content):
+    ratios = tmp_path / "ratios.json"
+    ratios.write_text(content)
+    out = tmp_path / "plan.json"
+    assert dispatch(["fn-schedule", "--body", "cube", "--dim", "2", "--ratios", str(ratios),
+                     "--out", str(out)]) == EXIT_INPUT
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["two", "1.5", "-3"])
 def test_bad_thread_env_exits_2(monkeypatch, tmp_path, value):
     monkeypatch.setenv("HOMCOVER_THREADS", value)

@@ -133,6 +133,35 @@ def test_certificate_roundtrip_and_tamper_detection():
     assert not recheck_certificate(cert_bad)
 
 
+def _miss(cert, j):
+    """Index of a quadrant copy whose shrunken copy misses net point j."""
+    net = build_net(SQUARE, cert["epsilon"])
+    y = net.points[j]
+    return next(i for i, p in enumerate(cert["placements"][:4])
+                if np.max(np.abs(y - p["center"])) > p["ratio"] - cert["shrink"])
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda pairs, cert: pairs[0].__setitem__(0, len(pairs)),
+    lambda pairs, cert: pairs[0].__setitem__(1, -1),
+    lambda pairs, cert: pairs[0].__setitem__(1, 5),
+    lambda pairs, cert: pairs[1].__setitem__(0, pairs[0][0]),
+    lambda pairs, cert: pairs[0].__setitem__(1, _miss(cert, 0)),
+    lambda pairs, cert: pairs[0].__setitem__(1, 4),
+    lambda pairs, cert: pairs[0].__setitem__(1, 1.5),
+    lambda pairs, cert: pairs.pop(),
+], ids=["net-index-out-of-range", "copy-index-negative", "copy-index-out-of-range",
+        "duplicate-net-index", "copy-misses-point", "copy-shrunk-to-nothing",
+        "non-integer-index", "net-point-left-out"])
+def test_tampered_assignment_is_rejected(tamper):
+    placements = quadrant_placements(0.45, 0.6) + [HomothetPlacement(np.zeros(2), 0.01)]
+    cert = verdict_to_dict(certify_cover(SQUARE, placements, 0.05), SQUARE, placements)
+    assert recheck_certificate(cert)
+    pairs = [list(p) for p in cert["assignment"]]
+    tamper(pairs, cert)
+    assert not recheck_certificate(dict(cert, assignment=pairs))
+
+
 def test_certify_input_validation():
     with pytest.raises(ValueError):
         certify_cover(SQUARE, [], 0.05)
