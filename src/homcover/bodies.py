@@ -96,7 +96,7 @@ class ConvexBody:
         self.scale = float(scale)
         vertices.setflags(write=False)
         self.vertices = vertices
-        self._hreps = {}  # vertex-sum H-reps: delta -> K + delta B_inf, (a, c) -> aK - cK
+        self._hreps = {}  # vertex-sum H-reps: delta -> K + delta B_inf, (1, c/a) -> K - (c/a)K
 
     # --- constructors -------------------------------------------------
 
@@ -334,10 +334,11 @@ def first_cover(body: ConvexBody, placements: Sequence[HomothetPlacement], point
     """For each point, the index of the first placement whose shrunken copy
     center + (ratio - shrink) * body contains it (closed, up to
     MEMBERSHIP_TOL per facet), or -1; copies with ratio - shrink <= 0 cover
-    nothing.  Each copy is paired with the points near its box (``_cell_runs``;
-    all points when the pairs are few), and the pairs are tested in blocks of
-    consecutive copies against the points no earlier block covered.  Blocks
-    start at one copy and double, so early copies that cover much save work.
+    nothing.  Each copy is paired with the points of the cells its box meets
+    (``_cell_grid``), and the pairs are tested in blocks of consecutive copies
+    against the points no earlier block covered.  Blocks start at one copy
+    and double while their pairs fit ``_PAIR_BLOCK``, so early copies that
+    cover much save work.
     """
     pts_t = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)).T)
     n, m = pts_t.shape
@@ -349,27 +350,25 @@ def first_cover(body: ConvexBody, placements: Sequence[HomothetPlacement], point
     A, b = body.halfspaces
     centers = np.array([placements[i].center for i in ids], dtype=float)
     budget = max(1, _PAIR_BLOCK // b.size)
-    if m * ids.size <= budget:  # few pairs: every copy meets every point
-        order = np.arange(m)
-        run_lo = np.zeros((ids.size, 1), dtype=np.intp)
-        run_len = np.full((ids.size, 1), m, dtype=np.intp)
-    else:
-        meets, order, run_lo, run_len = _cell_runs(pts_t, centers, radii[ids], *body.vertex_bbox)
-        ids, centers = ids[meets], centers[meets]
+    order, starts, shape, meets, c_lo, c_hi = _cell_grid(pts_t, centers, radii[ids],
+                                                         *body.vertex_bbox, budget)
+    ids, centers = ids[meets], centers[meets]
     centers_t = np.ascontiguousarray(centers.T)
     bounds_t = b[:, None] * radii[ids] + MEMBERSHIP_TOL  # r * b + tol, a column per copy
-    pairs_upto = np.cumsum(run_len.sum(axis=1))
+    # copies per block, so that one block's run tables stay within the budget
+    max_copies = max(1, budget // (int((c_hi - c_lo).max(initial=0)) + 1) ** n)
 
     best = np.full(m, ids.size, dtype=np.intp)  # first hitting copy, per point
     remaining, k0, size = m, 0, 1
     while k0 < ids.size and remaining:
-        done = pairs_upto[k0 - 1] if k0 else 0
-        k1 = min(k0 + size, max(k0 + 1, int(np.searchsorted(pairs_upto, done + budget, "right"))))
-        size *= 2
-        lens = run_len[k0:k1].ravel()
+        run_lo, run_len = _cell_runs(starts, shape, c_lo[k0:k0 + size], c_hi[k0:k0 + size])
+        take = max(1, int(np.searchsorted(np.cumsum(run_len.sum(axis=1)), budget, "right")))
+        k1, size = k0 + take, min(2 * take, max_copies)
+        lens = run_len[:take].ravel()
         ends = np.cumsum(lens)
-        cand = order[np.arange(ends[-1]) + np.repeat(run_lo[k0:k1].ravel() - ends + lens, lens)]
+        cand = order[np.arange(ends[-1]) + np.repeat(run_lo[:take].ravel() - ends + lens, lens)]
         copy = np.repeat(np.repeat(np.arange(k0, k1), run_len.shape[1]), lens)
+        del run_lo, run_len, lens, ends
         uncovered = first[cand] < 0
         cand, copy = cand[uncovered], copy[uncovered]
         offsets = np.take(pts_t, cand, axis=1)
@@ -389,12 +388,27 @@ def first_cover(body: ConvexBody, placements: Sequence[HomothetPlacement], point
     return first
 
 
-def _cell_runs(pts_t: np.ndarray, centers: np.ndarray, radii: np.ndarray, lo, hi):
+def _cell_grid(pts_t: np.ndarray, centers: np.ndarray, radii: np.ndarray, lo, hi,
+               budget: int):
     """Bucket the points (columns of ``pts_t``) on cells half as wide as the
     largest copy's box, widened until cells are no more than points.  Returns
-    which copies' padded boxes meet the points, the points in cell order, and
-    per meeting copy the (start, length) runs of the cells its box meets."""
+    the points in cell order, where each cell's run starts in that order (and
+    the last one ends), the grid shape, which copies' padded boxes meet the
+    points, and per meeting copy the first and last cell its box meets on
+    each axis.
+
+    Half-width cells let a box meet 3 cells per axis, not 2, but cover less
+    area around it: the cube covers of one fn-schedule branch-B run took
+    0.89 s in this kernel, 1.32 s with full-width cells.  When every copy
+    paired with every point fits ``budget``, all points share one cell in
+    input order; bucketing them would double the kernel time of a vrep3
+    round (one copy against 360 net points and 10,000 probes).
+    """
     n, m = pts_t.shape
+    if m * radii.size <= budget:
+        zeros = np.zeros((radii.size, n), dtype=np.intp)
+        return (np.arange(m), np.array([0, m]), np.ones(n, dtype=np.intp),
+                np.ones(radii.size, dtype=bool), zeros, zeros)
     origin = pts_t.min(axis=1)
     extent = pts_t.max(axis=1) - origin
     cell = radii.max() * (hi - lo) / 2.0
@@ -412,14 +426,19 @@ def _cell_runs(pts_t: np.ndarray, centers: np.ndarray, radii: np.ndarray, lo, hi
     c_lo = np.floor((centers + r * lo - _BOX_PAD - origin) / cell)
     c_hi = np.floor((centers + r * hi + _BOX_PAD - origin) / cell)
     meets = np.all((c_hi >= 0) & (c_lo < shape), axis=1)
-    c_lo = np.clip(c_lo[meets], 0, shape - 1).astype(np.intp)[:, None, :]
-    c_hi = np.clip(c_hi[meets], 0, shape - 1).astype(np.intp)[:, None, :]
+    c_lo = np.clip(c_lo[meets], 0, shape - 1).astype(np.intp)
+    c_hi = np.clip(c_hi[meets], 0, shape - 1).astype(np.intp)
+    return order, starts, shape, meets, c_lo, c_hi
+
+
+def _cell_runs(starts, shape, c_lo, c_hi):
+    """Per copy (a row of ``c_lo`` and ``c_hi``), the (start, length) in cell
+    order of the runs of the cells c_lo..c_hi, padded with empty runs."""
     span = int((c_hi - c_lo).max(initial=0)) + 1
-    cells = c_lo + np.array(list(np.ndindex(*(span,) * n)), dtype=np.intp)
-    flat = np.ravel_multi_index(tuple(np.minimum(cells, c_hi).T), shape).T
+    cells = c_lo[:, None, :] + np.array(list(np.ndindex(*(span,) * c_lo.shape[1])), dtype=np.intp)
+    flat = np.ravel_multi_index(tuple(np.minimum(cells, c_hi[:, None, :]).T), shape).T
     run_lo = starts[flat]
-    run_len = np.where(np.all(cells <= c_hi, axis=2), starts[flat + 1] - run_lo, 0)
-    return meets, order, run_lo, run_len
+    return run_lo, np.where(np.all(cells <= c_hi[:, None, :], axis=2), starts[flat + 1] - run_lo, 0)
 
 
 # --- Minkowski combinations ----------------------------------------------
@@ -445,12 +464,17 @@ class MinkowskiCombo:
 
     @property
     def halfspaces(self):
-        """(A, b) with unit rows: hull of {plus * v_i - minus * v_j}, cached on the body."""
-        V, key = self.body.vertices, (self.plus_coeff, self.minus_coeff)
+        """(A, b) with unit rows: hull of {plus * v_i - minus * v_j}.  The body
+        caches it per ratio minus / plus, at plus = 1; b scales with plus."""
+        a, c = self.plus_coeff, self.minus_coeff
+        scale = a if a > 0 else c
+        key = (a / scale, c / scale)
         if key not in self.body._hreps:
+            V = self.body.vertices
             self.body._hreps[key] = _hull_hrep(
                 (key[0] * V[:, None, :] - key[1] * V[None, :, :]).reshape(-1, self.dim))
-        return self.body._hreps[key]
+        A, b = self.body._hreps[key]
+        return A, scale * b
 
 
 def bounding_box(combo: MinkowskiCombo):

@@ -115,6 +115,17 @@ def test_combo_closed_form_matches_lp(np_rng):
         assert np.array_equal(fast, slow)
 
 
+def test_combo_hrep_is_cached_per_ratio():
+    body = random_vrep_body(2, 7, RngSpec(4).generator())
+    A1, b1 = MinkowskiCombo(body, 1.0, 1.0).halfspaces
+    for s in (0.01, 0.3, 2.0):  # patch zones sK - sK share the K - K entry
+        A, b = MinkowskiCombo(body, s, s).halfspaces
+        assert A is A1 and np.allclose(b, s * b1)
+    MinkowskiCombo(body, 1.0, 0.5).halfspaces
+    MinkowskiCombo(body, 2.0, 1.0).halfspaces
+    assert len(body._hreps) == 2
+
+
 def test_bounding_box_examples():
     cube = ConvexBody.cube(2)
     lo, hi = bounding_box(MinkowskiCombo(cube, 1.0, 0.5))

@@ -3,11 +3,13 @@ the H-representation fast paths against LP oracles, the coverage kernel
 against a dense membership matrix, thread-count and sampler batch-size
 invariance, and the patch pass against a quadratic greedy."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from homcover import runtime
+from homcover import bodies, runtime
 from homcover.bodies import MEMBERSHIP_TOL, ConvexBody, HomothetPlacement, MinkowskiCombo, \
     bounding_box, combo_contains, combo_contains_lp, covered_by_union, first_cover, \
     random_vrep_body
@@ -111,10 +113,15 @@ def test_sample_uniform_is_batch_invariant(body_seed, a, c, count, seed):
 
 
 @PROPERTY_SETTINGS
-@given(any_bodies(), seeds, st.integers(1, 12), st.integers(1, 400), st.floats(0.0, 0.4))
-def test_first_cover_matches_dense_oracle(body, seed, count, probes, shrink):
+@given(any_bodies(), seeds, st.integers(1, 12), st.integers(0, 12), st.integers(1, 400),
+       st.floats(0.0, 0.4))
+def test_first_cover_matches_dense_oracle(body, seed, count, tiny, probes, shrink):
     rng = np.random.default_rng(seed)
+    # copies with ratios down to 1e-3 sit inside one cell of a grid sized to the largest
     placements = random_placements(body, rng, count)
+    placements += [HomothetPlacement(pl.center, pl.ratio * 10.0 ** rng.uniform(-3.0, -1.0))
+                   for pl in random_placements(body, rng, tiny)]
+    placements = [placements[i] for i in rng.permutation(len(placements))]
     lo, hi = body.vertex_bbox
     pad = 0.2 * (hi - lo)
     point_sets = [rng.uniform(lo - pad, hi + pad, size=(probes, body.dim))]
@@ -124,8 +131,11 @@ def test_first_cover_matches_dense_oracle(body, seed, count, probes, shrink):
         pass  # a sliver body: its net would need millions of points
     for pts in point_sets:
         want = dense_first_cover(body, placements, pts, shrink)
-        assert np.array_equal(first_cover(body, placements, pts, shrink), want)
-        assert np.array_equal(covered_by_union(body, placements, pts, shrink), want >= 0)
+        # the default block size, and blocks of a few pairs each
+        for block in (bodies._PAIR_BLOCK, 256):
+            with mock.patch.object(bodies, "_PAIR_BLOCK", block):
+                assert np.array_equal(first_cover(body, placements, pts, shrink), want)
+                assert np.array_equal(covered_by_union(body, placements, pts, shrink), want >= 0)
 
 
 @settings(max_examples=5, deadline=None)
@@ -152,8 +162,11 @@ def test_coverage_is_thread_count_invariant(seed):
         runtime.set_threads(None)
     (mask1, v1), (mask2, v2) = runs
     assert np.array_equal(mask1, mask2)
+    assert np.array_equal(mask1, dense_first_cover(square, placements, probes, 0.1) >= 0)
     assert v1.status == v2.status == "certified"
     assert np.array_equal(v1.assignment, v2.assignment)
+    assert np.array_equal(v1.assignment,
+                          dense_first_cover(square, placements, net.points, v1.shrink))
 
 
 @PROPERTY_SETTINGS
