@@ -334,11 +334,16 @@ def first_cover(body: ConvexBody, placements: Sequence[HomothetPlacement], point
     """For each point, the index of the first placement whose shrunken copy
     center + (ratio - shrink) * body contains it (closed, up to
     MEMBERSHIP_TOL per facet), or -1; copies with ratio - shrink <= 0 cover
-    nothing.  Each copy is paired with the points of the cells its box meets
-    (``_cell_grid``), and the pairs are tested in blocks of consecutive copies
-    against the points no earlier block covered.  Blocks start at one copy
-    and double while their pairs fit ``_PAIR_BLOCK``, so early copies that
-    cover much save work.
+    nothing.  When every copy against every point fits ``_PAIR_BLOCK``, all
+    pairs are tested at once.  Otherwise each copy is paired with the points
+    of the cells its box meets (``_cell_grid``), and the pairs are tested in
+    blocks of consecutive copies against the points no earlier block
+    covered.  Blocks start at one copy and double while their pairs fit
+    ``_PAIR_BLOCK``, so early copies that cover much save work.
+
+    The all-pairs test skips the grid and the blocks, whose fixed cost small
+    calls would pay: one point against one copy takes 40 us, not 250 us, and
+    10,000 probes against one vrep3 copy 0.5 ms, not 1.2 ms.
     """
     pts_t = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)).T)
     n, m = pts_t.shape
@@ -350,8 +355,15 @@ def first_cover(body: ConvexBody, placements: Sequence[HomothetPlacement], point
     A, b = body.halfspaces
     centers = np.array([placements[i].center for i in ids], dtype=float)
     budget = max(1, _PAIR_BLOCK // b.size)
+    if m * ids.size <= budget:
+        offsets = (pts_t[:, :, None] - centers.T[:, None, :]).reshape(n, -1)
+        inside = np.all((A @ offsets).reshape(b.size, m, ids.size)
+                        <= b[:, None, None] * radii[ids] + MEMBERSHIP_TOL, axis=0)  # points x copies
+        hit = inside.any(axis=1)
+        first[hit] = ids[inside[hit].argmax(axis=1)]
+        return first
     order, starts, shape, meets, c_lo, c_hi = _cell_grid(pts_t, centers, radii[ids],
-                                                         *body.vertex_bbox, budget)
+                                                         *body.vertex_bbox)
     ids, centers = ids[meets], centers[meets]
     centers_t = np.ascontiguousarray(centers.T)
     bounds_t = b[:, None] * radii[ids] + MEMBERSHIP_TOL  # r * b + tol, a column per copy
@@ -388,8 +400,7 @@ def first_cover(body: ConvexBody, placements: Sequence[HomothetPlacement], point
     return first
 
 
-def _cell_grid(pts_t: np.ndarray, centers: np.ndarray, radii: np.ndarray, lo, hi,
-               budget: int):
+def _cell_grid(pts_t: np.ndarray, centers: np.ndarray, radii: np.ndarray, lo, hi):
     """Bucket the points (columns of ``pts_t``) on cells half as wide as the
     largest copy's box, widened until cells are no more than points.  Returns
     the points in cell order, where each cell's run starts in that order (and
@@ -399,16 +410,9 @@ def _cell_grid(pts_t: np.ndarray, centers: np.ndarray, radii: np.ndarray, lo, hi
 
     Half-width cells let a box meet 3 cells per axis, not 2, but cover less
     area around it: the cube covers of one fn-schedule branch-B run took
-    0.89 s in this kernel, 1.32 s with full-width cells.  When every copy
-    paired with every point fits ``budget``, all points share one cell in
-    input order; bucketing them would double the kernel time of a vrep3
-    round (one copy against 360 net points and 10,000 probes).
+    0.89 s in this kernel, 1.32 s with full-width cells.
     """
     n, m = pts_t.shape
-    if m * radii.size <= budget:
-        zeros = np.zeros((radii.size, n), dtype=np.intp)
-        return (np.arange(m), np.array([0, m]), np.ones(n, dtype=np.intp),
-                np.ones(radii.size, dtype=bool), zeros, zeros)
     origin = pts_t.min(axis=1)
     extent = pts_t.max(axis=1) - origin
     cell = radii.max() * (hi - lo) / 2.0
