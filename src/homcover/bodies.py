@@ -172,11 +172,7 @@ class ConvexBody:
             A = np.column_stack([edges[:, 1], -edges[:, 0]])  # outward for ccw hulls
             b = np.einsum("ij,ij->i", A, hull)
         else:
-            from scipy.spatial import ConvexHull
-
-            hull = ConvexHull(self.vertices)
-            eq = hull.equations  # rows [a, c] meaning a @ x + c <= 0
-            A, b = eq[:, :-1], -eq[:, -1]
+            return _hull_hrep(self.vertices)
         norms = np.linalg.norm(A, axis=1)
         A = A / norms[:, None]
         b = b / norms
@@ -334,16 +330,12 @@ def first_cover(body: ConvexBody, placements: Sequence[HomothetPlacement], point
     """For each point, the index of the first placement whose shrunken copy
     center + (ratio - shrink) * body contains it (closed, up to
     MEMBERSHIP_TOL per facet), or -1; copies with ratio - shrink <= 0 cover
-    nothing.  When every copy against every point fits ``_PAIR_BLOCK``, all
-    pairs are tested at once.  Otherwise each copy is paired with the points
-    of the cells its box meets (``_cell_grid``), and the pairs are tested in
-    blocks of consecutive copies against the points no earlier block
-    covered.  Blocks start at one copy and double while their pairs fit
-    ``_PAIR_BLOCK``, so early copies that cover much save work.
-
-    The all-pairs test skips the grid and the blocks, whose fixed cost small
-    calls would pay: one point against one copy takes 40 us, not 250 us, and
-    10,000 probes against one vrep3 copy 0.5 ms, not 1.2 ms.
+    nothing.  Calls whose copy x point pairs fit ``_PAIR_BLOCK`` test all
+    pairs at once, without the grid's fixed cost (one point and one copy:
+    40 us, not 250 us).  Otherwise each copy is paired with the points of
+    the cells its box meets (``_cell_grid``), and blocks of consecutive
+    copies, doubling from one, are tested against the points no earlier
+    block covered.
     """
     pts_t = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)).T)
     n, m = pts_t.shape
@@ -402,16 +394,12 @@ def first_cover(body: ConvexBody, placements: Sequence[HomothetPlacement], point
 
 def _cell_grid(pts_t: np.ndarray, centers: np.ndarray, radii: np.ndarray, lo, hi):
     """Bucket the points (columns of ``pts_t``) on cells half as wide as the
-    largest copy's box, widened until cells are no more than points.  Returns
-    the points in cell order, where each cell's run starts in that order (and
-    the last one ends), the grid shape, which copies' padded boxes meet the
-    points, and per meeting copy the first and last cell its box meets on
-    each axis.
-
-    Half-width cells let a box meet 3 cells per axis, not 2, but cover less
-    area around it: the cube covers of one fn-schedule branch-B run took
-    0.89 s in this kernel, 1.32 s with full-width cells.
-    """
+    largest copy's box (a box meets up to 3 per axis, but less area than 2
+    full-width cells: 0.89 s, not 1.32 s, on fn-schedule's cube covers),
+    widened until cells are no more than points.  Returns the points in cell
+    order, where each cell's run starts in that order (and the last ends),
+    the grid shape, which copies' padded boxes meet the points, and per
+    meeting copy the first and last cell its box meets on each axis."""
     n, m = pts_t.shape
     origin = pts_t.min(axis=1)
     extent = pts_t.max(axis=1) - origin
