@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -46,26 +48,43 @@ _NUMERIC_ERRORS = (
 )
 
 
-def _jsonable(obj):
+_FLOAT_SPELLINGS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=1)``, with numpy arrays and
+    scalars written as their ``tolist()`` / ``item()``; ``pad`` is the newline
+    and indent of the enclosing level.  Dict keys must be strings."""
+    if isinstance(obj, (float, np.floating)):
+        text = float.__repr__(float(obj))
+        return _FLOAT_SPELLINGS.get(text, text)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = pad + " "
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+            for k, v in sorted(obj.items())]) + pad + "}"
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + pad + "]"
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return _json_text(obj.tolist(), pad)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dump_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(_json_text(payload) + "\n")
 
 
 def _digest_file(path: str) -> str:
@@ -80,7 +99,7 @@ def _write_manifest(command: str, args_echo: dict, seed: Optional[int],
     manifest = {
         "schemaVersion": SCHEMA_VERSION,
         "command": command,
-        "config": _jsonable(args_echo),
+        "config": args_echo,
         "seed": seed,
         "artifactVersion": __version__,
         "durationSeconds": round(time.time() - started, 3),
@@ -284,8 +303,7 @@ def _emit(args, payload: dict) -> list:
     if args.out:
         _dump_json(args.out, payload)
         return [args.out]
-    json.dump(_jsonable(payload), sys.stdout, sort_keys=True, indent=1)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json_text(payload) + "\n")
     return []
 
 
@@ -366,10 +384,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use: parsing leaves it unchanged, and
+    building it costs far more than one parse."""
+    return build_parser()
+
+
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     started = time.time()

@@ -127,6 +127,7 @@ def _digest(arr: np.ndarray) -> str:
 def verdict_to_dict(verdict: CoverageVerdict, body: ConvexBody,
                     placements: Sequence[HomothetPlacement],
                     pieces_body: Optional[ConvexBody] = None) -> dict:
+    centers = np.array([pl.center for pl in placements]).tolist()
     out = {
         "schemaVersion": SCHEMA_VERSION,
         "type": "covering",
@@ -135,7 +136,7 @@ def verdict_to_dict(verdict: CoverageVerdict, body: ConvexBody,
         "shrink": verdict.shrink,
         "body": body.to_spec(),
         "placements": [
-            {"center": pl.center.tolist(), "ratio": pl.ratio} for pl in placements
+            {"center": c, "ratio": pl.ratio} for c, pl in zip(centers, placements)
         ],
     }
     if pieces_body is not None and pieces_body is not body:

@@ -7,8 +7,11 @@ partition covers one dyadic cube of a tiling of the body.  A single cube
 is covered in two phases: a random prefix placed uniformly in the slightly
 inflated cube, then a deterministic patch pass that lays the remaining
 pieces on a separated subset of the grid points the prefix missed.  The
-patch pass walks the missed points in grid order; each chosen point blocks
-the later points in its separation zone with one vectorised test.
+random centres are drawn in one batched pass: every piece keeps its own
+random stream, the first proposals of a block of streams are tested
+together, and only a stream with no hit among them is continued alone.
+The patch pass walks the missed points in grid order; each chosen point
+blocks the later points in its separation zone with one vectorised test.
 
 Every phase carries an explicit shrink margin, so the final verdict always
 comes from an independent coverage certificate, never from the scheduling
@@ -218,19 +221,26 @@ def dyadic_plan(seq: RatioSequence, n: int, *, body_volume: float,
 # --- covering one cube -----------------------------------------------------
 
 
+_FIRST_PROPOSALS = 64     # proposals per draw of a one-point stream
+_STREAMS_PER_BLOCK = 1024  # streams whose first proposals are tested together
+
+
+def _box_minus_body_bounds(side: float, body: ConvexBody, coeff: float):
+    V = body.vertices
+    return -side - coeff * V.max(axis=0), side - coeff * V.min(axis=0)
+
+
 def _sample_box_minus_body(side: float, body: ConvexBody, coeff: float,
                            rng: RngSpec, count: int) -> np.ndarray:
     """Uniform points in side*B_inf - coeff*K by rejection from the box:
     x is in that set exactly when -x/coeff is in K + (side/coeff)*B_inf."""
-    V = body.vertices
-    hi = side - coeff * V.min(axis=0)
-    lo = -side - coeff * V.max(axis=0)
+    lo, hi = _box_minus_body_bounds(side, body, coeff)
     gen = rng.generator()
     out = []
     got = 0
     tries = 0
     while got < count:
-        batch = gen.uniform(lo, hi, size=(max(64, count), body.dim))
+        batch = gen.uniform(lo, hi, size=(max(_FIRST_PROPOSALS, count), body.dim))
         keep = body.dilated_contains(-batch / coeff, side / coeff)
         out.append(batch[keep])
         got += int(keep.sum())
@@ -238,6 +248,31 @@ def _sample_box_minus_body(side: float, body: ConvexBody, coeff: float,
         if tries > 200 * (count + 100):
             raise randvol.RejectionTooSlow("box-minus-body sampling stalled")
     return np.concatenate(out)[:count]
+
+
+def _first_points_box_minus_body(side: float, body: ConvexBody, coeff: float,
+                                 rngs: Sequence[RngSpec]) -> np.ndarray:
+    """Row i is ``_sample_box_minus_body(side, body, coeff, rngs[i], 1)[0]``.
+
+    The first batch of every stream in a block is drawn as ``lo + (hi - lo) * u``
+    (bit for bit ``gen.uniform``) and tested in one call; each row takes its
+    first hit.  A stream with none is redrawn by the one-stream sampler, which
+    passes over the same proposals first, so its point and stall rule match."""
+    lo, hi = _box_minus_body_bounds(side, body, coeff)
+    n = body.dim
+    out = np.empty((len(rngs), n))
+    for start in range(0, len(rngs), _STREAMS_PER_BLOCK):
+        block = rngs[start:start + _STREAMS_PER_BLOCK]
+        rows = np.arange(len(block))
+        u = np.stack([r.generator().random((_FIRST_PROPOSALS, n)) for r in block])
+        batch = lo + (hi - lo) * u
+        keep = body.dilated_contains(-batch.reshape(-1, n) / coeff, side / coeff)
+        keep = keep.reshape(len(block), _FIRST_PROPOSALS)
+        first = keep.argmax(axis=1)
+        out[start:start + len(block)] = batch[rows, first]
+        for k in np.flatnonzero(~keep[rows, first]):
+            out[start + k] = _sample_box_minus_body(side, body, coeff, block[k], 1)[0]
+    return out
 
 
 def separation_radius(pieces_body: ConvexBody, lam_min: float, shrink: float, n: int) -> float:
@@ -321,10 +356,8 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
     target = rogers_factor(n, 4, mode, multiplier) * cube_vol
     m_prime = int(np.searchsorted(csum, target) + 1)
     m_prime = min(m_prime, M)
-    phase1_pts = np.vstack([
-        _sample_box_minus_body(side, body, 2.0, rng.child(_PIECE_TAG, i), 1)
-        for i in range(m_prime)
-    ])
+    phase1_pts = _first_points_box_minus_body(
+        side, body, 2.0, [rng.child(_PIECE_TAG, i) for i in range(m_prime)])
     placements = [HomothetPlacement(phase1_pts[i], lambdas[i]) for i in range(m_prime)]
 
     # margins: sigma_g for the marking grid, cert margin for the final net

@@ -27,6 +27,7 @@ from .bodies import ConvexBody, HomothetPlacement, first_cover
 GRID_SLACK = 0.01
 MAX_NET_POINTS = 10_000_000
 EPSILON_FLOOR = 1e-3
+GRID_BLOCK_POINTS = 1 << 16  # candidate points per keep_fn call in gauge_grid
 
 
 class NetTooLarge(RuntimeError):
@@ -67,12 +68,15 @@ def gauge_grid(dim: int, keep_fn: Callable, inradius: float, anchor: np.ndarray,
 
     axes = [np.arange(j_lo[d], j_hi[d] + 1) for d in range(dim)]
     kept_pts = []
-    # slabs along the first axis keep peak memory proportional to one slab
+    # whole slabs along the first axis, as many per keep_fn call as fit in
+    # GRID_BLOCK_POINTS (at least one), keep peak memory bounded by one block
     tail = np.stack([g.ravel() for g in np.meshgrid(*axes[1:], indexing="ij")], axis=-1) \
         if dim > 1 else np.zeros((1, 0), dtype=int)
     slab_rows = tail.shape[0]
-    for j0 in axes[0]:
-        idx = np.column_stack([np.full(slab_rows, j0), tail]) if dim > 1 else np.array([[j0]])
+    slabs = max(1, GRID_BLOCK_POINTS // slab_rows)
+    for start in range(0, axes[0].size, slabs):
+        first = axes[0][start:start + slabs]
+        idx = np.column_stack([np.repeat(first, slab_rows), np.tile(tail, (first.size, 1))])
         pts = idx * h
         mask = keep_fn(pts, h / 2)
         if np.any(mask):

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from homcover import cli
 from homcover.bodies import ConvexBody, HomothetPlacement
 from homcover.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, dispatch
 from homcover.covercert import certify_cover, refute_cover, verdict_to_dict
@@ -170,3 +172,47 @@ def test_body_json_file(tmp_path):
     assert code == EXIT_OK
     payload = read_json(out)
     assert payload["ci95"][0] <= 3.0 <= payload["ci95"][1]
+
+
+# sha256 of the --out result and of the --certificate file for one small run
+# of each branch, pinned so that a change to these bytes is never silent
+PINNED_FN_SCHEDULE = [
+    (["--lambda", "0.9", "--count", "300", "--seed", "9"],
+     "d243142b4904187b1fcc30b95da111edfcb7be118b7d7da46a6fc41bc2b6ca19",
+     "f770ab50e15f1e3dadc550ab645a8d96ed105d8366a7700103fbd2510203582a"),
+    (["--lambda", "0.03", "--count", "13000", "--scale", "8", "--epsilon", "0.003",
+      "--seed", "7"],
+     "7d693dd30b5fb77b3242c9e291dce361a2ac4d6b3e1a2cf4e469445456112a33",
+     "4d51d465e4813398ea247acf5fe90f1e6cf9402a213cb036a6081a8eb27a5ed9"),
+]
+
+
+@pytest.mark.parametrize("flags,out_sha,cert_sha", PINNED_FN_SCHEDULE,
+                         ids=["branch-A", "branch-B"])
+def test_fn_schedule_bytes_are_pinned(tmp_path, flags, out_sha, cert_sha):
+    out, cert = tmp_path / "plan.json", tmp_path / "cert.json"
+    assert dispatch(["fn-schedule", "--body", "cube", "--dim", "2", *flags,
+                     "--out", str(out), "--certificate", str(cert)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_sha
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == cert_sha
+
+
+def test_parser_is_reused_without_leaking_arguments(tmp_path):
+    square = ConvexBody.cube(2)
+    placements = [HomothetPlacement(np.array([sx * 0.45, sy * 0.45]), 0.6)
+                  for sx in (-1, 1) for sy in (-1, 1)]
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(verdict_to_dict(certify_cover(square, placements, 0.05),
+                                               square, placements)))
+    assert dispatch(["verify", "--certificate", str(cert)]) == EXIT_OK
+    plan = tmp_path / "plan.json"
+    assert dispatch(["fn-schedule", "--body", "cube", "--dim", "2", "--lambda", "0.9",
+                     "--count", "300", "--threads", "1", "--out", str(plan)]) == EXIT_OK
+    assert read_json(str(plan) + ".manifest.json")["config"]["threads"] == 1
+    bounds = tmp_path / "bounds.json"
+    assert dispatch(["bounds", "--body", "cube", "--dim", "2", "--out", str(bounds)]) == EXIT_OK
+    assert read_json(str(bounds) + ".manifest.json")["config"] == {
+        "command": "bounds", "body": "cube", "dim": 2, "seed": 0, "out": str(bounds)}
+    assert dispatch(["bounds", "--help"]) == EXIT_OK
+    assert dispatch(["bounds", "--dim", "two"]) == EXIT_INPUT
+    assert cli._parser() is cli._parser()

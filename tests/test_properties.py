@@ -1,22 +1,31 @@
 """Property tests on random vertex bodies in R^2..R^4 and the special kinds:
 the H-representation fast paths against LP oracles, the coverage kernel
 against a dense membership matrix, thread-count and sampler batch-size
-invariance, and the patch pass against a quadratic greedy."""
+invariance, the patch pass against a quadratic greedy, the batched phase-1
+draws and the grouped grid against their one-at-a-time forms, and the CLI's
+JSON writer against ``json.dumps``."""
 
+import itertools
+import json
+import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
-from homcover import bodies, runtime
+from homcover import bodies, fnsched, nets, runtime
 from homcover.bodies import MEMBERSHIP_TOL, ConvexBody, HomothetPlacement, MinkowskiCombo, \
     bounding_box, combo_contains, combo_contains_lp, covered_by_union, first_cover, \
     random_vrep_body
+from homcover.cli import _json_text
 from homcover.covercert import certify_cover
-from homcover.fnsched import _separated_subset
-from homcover.nets import NetTooLarge, build_net
-from homcover.randvol import RngSpec, sample_uniform
+from homcover.fnsched import _first_points_box_minus_body, _sample_box_minus_body, \
+    _separated_subset
+from homcover.nets import GRID_SLACK, NetTooLarge, build_net
+from homcover.randvol import RejectionTooSlow, RngSpec, sample_uniform
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -183,3 +192,118 @@ def test_patch_pass_matches_quadratic_greedy(body, seed, scale, density):
     assert np.array_equal(kept, greedy_separated(marked, zone))
     for i in range(len(kept)):
         assert not combo_contains(zone, kept[i + 1:] - kept[i]).any()
+
+
+def one_slab_grid(dim, keep_fn, inradius, anchor, lo, hi):
+    """gauge_grid with one keep_fn call per first-axis slab, its points listed
+    one index tuple at a time in row-major order."""
+    h = 2.0 * inradius / math.sqrt(dim) * (1.0 - GRID_SLACK)
+    j_lo = np.ceil((lo - anchor - h / 2) / h - 1e-12).astype(int)
+    j_hi = np.floor((hi - anchor + h / 2) / h + 1e-12).astype(int)
+    kept = []
+    for j0 in range(j_lo[0], j_hi[0] + 1):
+        idx = np.array([(j0,) + t for t in itertools.product(
+            *(range(a, b + 1) for a, b in zip(j_lo[1:], j_hi[1:])))])
+        pts = idx * h
+        kept.append(pts[keep_fn(pts, h / 2)])
+    return np.concatenate(kept), h
+
+
+@PROPERTY_SETTINGS
+@given(any_bodies(), st.floats(0.15, 0.5), st.integers(1, 3000))
+@example(ConvexBody.cube(2), 0.3, 10)  # 5 slabs of 5 points, 2 slabs per call
+def test_grouped_gauge_grid_matches_one_slab_per_call(body, eps, block):
+    center, inradius = body.chebyshev
+    anchor = eps * center
+    lo, hi = body.vertex_bbox
+    calls = []
+
+    def keep(pts, half):
+        calls.append(pts.shape[0])
+        return body.dilated_contains(pts + anchor, half)
+
+    with mock.patch.object(nets, "GRID_BLOCK_POINTS", block):
+        try:
+            got, h = nets.gauge_grid(body.dim, keep, eps * inradius, anchor, lo, hi,
+                                     max_points=50_000)
+        except NetTooLarge:
+            return  # a sliver body: its grid would need millions of points
+    grouped_calls = calls[:]
+    calls.clear()
+    want, h_want = one_slab_grid(body.dim, keep, eps * inradius, anchor, lo, hi)
+    assert h == h_want
+    assert got.tobytes() == want.tobytes()
+    # whole slabs per call, the last group possibly shorter
+    slab_rows, slabs = calls[0], len(calls)
+    per_call = max(1, block // slab_rows)
+    assert grouped_calls == [slab_rows * min(per_call, slabs - s)
+                             for s in range(0, slabs, per_call)]
+
+
+@PROPERTY_SETTINGS
+@given(any_bodies(), seeds, st.floats(0.05, 4.0), st.integers(1, 40), st.integers(1, 50))
+def test_batched_first_draws_match_one_stream_sampler(body, seed, side, count, block):
+    rngs = [RngSpec(seed).child(fnsched._PIECE_TAG, i) for i in range(count)]
+    try:
+        want = np.array([_sample_box_minus_body(side, body, 2.0, r, 1)[0] for r in rngs])
+    except RejectionTooSlow:
+        with pytest.raises(RejectionTooSlow):
+            _first_points_box_minus_body(side, body, 2.0, rngs)
+        return
+    for streams in (fnsched._STREAMS_PER_BLOCK, block):
+        with mock.patch.object(fnsched, "_STREAMS_PER_BLOCK", streams):
+            got = _first_points_box_minus_body(side, body, 2.0, rngs)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_batched_first_draws_fall_back_on_a_sliver():
+    # side*B_inf - 2K fills about 2% of its box, so roughly a quarter of the
+    # streams miss with every one of their first proposals
+    sliver = ConvexBody.from_vertices([[0.0, 0.0], [1.0, 1.0], [1.0, 1.02]])
+    rngs = [RngSpec(5).child(fnsched._PIECE_TAG, i) for i in range(40)]
+    want = np.array([_sample_box_minus_body(0.01, sliver, 2.0, r, 1)[0] for r in rngs])
+    with mock.patch.object(fnsched, "_sample_box_minus_body",
+                           wraps=_sample_box_minus_body) as one_stream:
+        got = _first_points_box_minus_body(0.01, sliver, 2.0, rngs)
+    assert one_stream.call_count >= 1
+    assert got.tobytes() == want.tobytes()
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 200, 2 ** 200),
+    st.floats(), st.sampled_from([-0.0, 1e-300, math.nan, math.inf, -math.inf]), st.text())
+
+
+def json_containers(children):
+    return st.one_of(st.lists(children), st.lists(children).map(tuple),
+                     st.dictionaries(st.text(), children))
+
+
+@PROPERTY_SETTINGS
+@given(st.recursive(json_scalars, json_containers, max_leaves=40))
+def test_json_writer_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=1)
+
+
+numpy_leaves = st.one_of(
+    hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)),
+    hnp.from_dtype(np.dtype(np.float64)), hnp.from_dtype(np.dtype(np.float32)),
+    hnp.from_dtype(np.dtype(np.int64)), hnp.from_dtype(np.dtype(np.bool_)),
+).map(lambda a: (a, a.tolist() if isinstance(a, np.ndarray) else a.item()))
+
+
+def paired_containers(children):
+    """Containers of (numpy form, plain form) pairs, as a pair of containers."""
+    return st.one_of(
+        st.lists(children).map(lambda ps: ([p[0] for p in ps], [p[1] for p in ps])),
+        st.dictionaries(st.text(), children).map(
+            lambda d: ({k: p[0] for k, p in d.items()}, {k: p[1] for k, p in d.items()})))
+
+
+@PROPERTY_SETTINGS
+@given(st.recursive(numpy_leaves | json_scalars.map(lambda x: (x, x)), paired_containers,
+                    max_leaves=20))
+def test_json_writer_converts_numpy_inline(pair):
+    with_numpy, plain = pair
+    assert _json_text(with_numpy) == json.dumps(plain, sort_keys=True, indent=1)
