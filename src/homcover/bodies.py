@@ -3,10 +3,10 @@
 Special kinds (cube = [-s,s]^n, simplex = conv{0, s*e_1, ..., s*e_n}
 recentered at its centroid, cross-polytope = conv{+-s*e_j}) carry
 closed-form facets and closed-form Minkowski-combination membership.
-General vertex bodies get hull facets (2-D: monotone chain, higher
-dimensions: qhull); their combinations aK - cK and dilations K + dB_inf are
-hulls of vertex sums, tested by one ``A x <= b`` on a qhull H-rep cached on
-the body per coefficient pair.  ``first_cover`` is the one coverage kernel
+General vertex bodies get qhull facets in every dimension; their
+combinations aK - cK and dilations K + dB_inf are hulls of vertex sums,
+tested by one ``A x <= b`` on a qhull H-rep cached on the body per
+coefficient pair.  ``first_cover`` is the one coverage kernel
 behind ``covered_by_union``, certification, refutation and net covering.
 """
 
@@ -34,27 +34,6 @@ CROSSPOLYTOPE = "crosspolytope"
 VREP = "vrep"
 
 _SYMMETRIC_KINDS = (CUBE, CROSSPOLYTOPE)
-
-
-def _hull_2d(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain convex hull; returns hull vertices in ccw order."""
-    pts = sorted(map(tuple, points))
-    if len(pts) <= 2:
-        return np.asarray(pts, dtype=float)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.asarray(lower[:-1] + upper[:-1], dtype=float)
 
 
 def _hull_hrep(points: np.ndarray):
@@ -166,11 +145,6 @@ class ConvexBody:
         elif self.kind == CROSSPOLYTOPE:
             A = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
             b = np.full(2 ** n, s)
-        elif self.dim == 2:
-            hull = _hull_2d(self.vertices)
-            edges = np.roll(hull, -1, axis=0) - hull
-            A = np.column_stack([edges[:, 1], -edges[:, 0]])  # outward for ccw hulls
-            b = np.einsum("ij,ij->i", A, hull)
         else:
             return _hull_hrep(self.vertices)
         norms = np.linalg.norm(A, axis=1)

@@ -279,16 +279,22 @@ def _cmd_bounds(args) -> list:
 def _cmd_verify(args) -> list:
     with open(args.certificate) as fh:
         cert = json.load(fh)
+    if not isinstance(cert, dict):
+        raise ValueError("a certificate must be a JSON object")
     if args.body_file:
         with open(args.body_file) as fh:
             cert = dict(cert, body=json.load(fh))
     kind = cert.get("type")
-    if kind == "covering":
-        ok = recheck_certificate(cert)
-    elif kind == "illumination":
-        ok = illum.recheck_illumination_certificate(cert)
-    else:
-        raise ValueError(f"unknown certificate type {kind!r}")
+    try:
+        if kind == "covering":
+            ok = recheck_certificate(cert)
+        elif kind == "illumination":
+            ok = illum.recheck_illumination_certificate(cert)
+        else:
+            raise ValueError(f"unknown certificate type {kind!r}")
+    except (TypeError, IndexError, AttributeError) as exc:
+        # a field of the wrong JSON type or shape
+        raise ValueError(f"malformed certificate: {exc}") from exc
     print("verified" if ok else "REFUTED-VERIFICATION")
     if not ok:
         raise _VerificationFailed()

@@ -10,12 +10,16 @@ body different from the target; the shrink is then scaled by the factor
 needed to swallow one target gauge step inside the piece body.
 
 Certification and refutation share one coverage kernel, ``bodies.first_cover``
-(the assignment is each net point's first covering copy); an embedded
-assignment is replayed in one vectorised check, a digest-only one re-searched.
+(the assignment is each net point's first covering copy).  A certified
+certificate always embeds that assignment, as the base64 of the
+little-endian int32 array ``a`` (``a[j]`` is the copy covering net point
+``j``), and verification only replays it in one vectorised check; it never
+re-runs the search.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -38,8 +42,7 @@ CERTIFIED = "certified"
 REFUTED = "refuted"
 UNKNOWN = "unknown"
 
-SCHEMA_VERSION = 1
-ASSIGNMENT_EMBED_LIMIT = 200_000
+SCHEMA_VERSION = 2
 
 
 @dataclass(eq=False)
@@ -152,24 +155,39 @@ def verdict_to_dict(verdict: CoverageVerdict, body: ConvexBody,
             "pointsDigest": _digest(verdict.net.points),
         }
     if verdict.assignment is not None:
-        if verdict.assignment.size <= ASSIGNMENT_EMBED_LIMIT:
-            out["assignment"] = np.column_stack(
-                (np.arange(verdict.assignment.size), verdict.assignment)).tolist()
-        else:
-            out["assignmentDigest"] = hashlib.sha256(
-                np.ascontiguousarray(verdict.assignment, dtype=np.int64).tobytes()
-            ).hexdigest()
+        out["membershipTolerance"] = MEMBERSHIP_TOL
+        out["assignment"] = base64.b64encode(
+            np.ascontiguousarray(verdict.assignment, dtype="<i4").tobytes()).decode("ascii")
     return out
+
+
+def _decode_assignment(text, size: int, copies: int) -> Optional[np.ndarray]:
+    """The embedded assignment as an int array, or None unless it is base64
+    text of exactly ``size`` little-endian int32 copy indices in [0, copies)."""
+    if not isinstance(text, str):
+        return None
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or non-ASCII text
+        return None
+    if len(raw) != 4 * size:
+        return None
+    a = np.frombuffer(raw, dtype="<i4")
+    if a.min() < 0 or a.max() >= copies:
+        return None
+    return a
 
 
 def recheck_certificate(cert: dict) -> bool:
     """Replay every membership claim of a serialized covering verdict.
 
-    Certified: rebuild the net deterministically, compare its digest, then
-    check that the embedded pairs name every net point exactly once and
-    that each lies in its assigned shrunken homothet, all in one vectorised
-    test (or re-run the full assignment when only a digest was embedded).  Refuted:
-    the witness must lie in the body and outside every unshrunken homothet.
+    Certified: rebuild the net deterministically and compare its digest and
+    the shrink, require the recorded membership tolerance to be
+    ``MEMBERSHIP_TOL``, decode the embedded assignment (one copy index per
+    net point) and check that each net point lies in its assigned shrunken
+    homothet, all in one vectorised test.  The search is never re-run.
+    Refuted: the witness must lie in the body and outside every unshrunken
+    homothet.
     """
     if cert.get("type") != "covering":
         return False
@@ -197,28 +215,17 @@ def recheck_certificate(cert: dict) -> bool:
         shrink = epsilon * cover_factor(body, pieces)
         if abs(shrink - float(cert["shrink"])) > 1e-9:
             return False
-        if "assignment" in cert:
-            pairs = np.asarray(cert["assignment"])
-            if pairs.shape != (net.size, 2) or pairs.dtype.kind != "i":
-                return False
-            j, a = pairs[:, 0], pairs[:, 1]
-            if j.min() < 0 or j.max() >= net.size or a.min() < 0 or a.max() >= len(placements):
-                return False
-            if np.any(np.bincount(j, minlength=net.size) != 1):
-                return False  # every net point exactly once
-            radii = np.array([pl.ratio for pl in placements])[a] - shrink
-            if np.any(radii <= 0.0):
-                return False
-            centers = np.array([pl.center for pl in placements])[a]
-            A, b = pieces.halfspaces
-            return bool(np.all((net.points[j] - centers) @ A.T
-                               <= radii[:, None] * b + MEMBERSHIP_TOL))
-        redo = certify_cover(body, placements, epsilon, net=net, pieces_body=pieces)
-        if redo.status != CERTIFIED:
+        if cert.get("membershipTolerance") != MEMBERSHIP_TOL:
             return False
-        digest = hashlib.sha256(
-            np.ascontiguousarray(redo.assignment, dtype=np.int64).tobytes()
-        ).hexdigest()
-        return digest == cert.get("assignmentDigest")
+        a = _decode_assignment(cert.get("assignment"), net.size, len(placements))
+        if a is None:
+            return False
+        radii = np.array([pl.ratio for pl in placements])[a] - shrink
+        if np.any(radii <= 0.0):
+            return False
+        centers = np.array([pl.center for pl in placements])[a]
+        A, b = pieces.halfspaces
+        return bool(np.all((net.points - centers) @ A.T
+                           <= radii[:, None] * b + MEMBERSHIP_TOL))
 
     return status == UNKNOWN

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 
@@ -85,10 +86,47 @@ def test_verify_roundtrip_and_tamper(tmp_path):
     assert dispatch(["verify", "--certificate", str(good)]) == EXIT_OK
 
     cert_bad = json.loads(good.read_text())
-    cert_bad["assignment"][0][1] = (cert_bad["assignment"][0][1] + 1) % 4
+    a = np.frombuffer(base64.b64decode(cert_bad["assignment"]), dtype="<i4").copy()
+    a[0] = (a[0] + 1) % 4
+    cert_bad["assignment"] = base64.b64encode(a.tobytes()).decode("ascii")
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cert_bad))
     assert dispatch(["verify", "--certificate", str(bad)]) == EXIT_VERIFY
+
+
+def _quadrant_certificates():
+    """A certified and a refuted covering certificate of the square."""
+    square = ConvexBody.cube(2)
+    placements = [HomothetPlacement(np.array([sx * 0.45, sy * 0.45]), 0.6)
+                  for sx in (-1, 1) for sy in (-1, 1)]
+    certified = verdict_to_dict(certify_cover(square, placements, 0.05), square, placements)
+    refuted = verdict_to_dict(refute_cover(square, placements[:3], RngSpec(5), 50_000),
+                              square, placements[:3])
+    return certified, refuted
+
+
+def test_verify_rejects_a_raised_membership_tolerance(tmp_path):
+    certified, _ = _quadrant_certificates()
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(dict(certified, membershipTolerance=1.0)))
+    assert dispatch(["verify", "--certificate", str(path)]) == EXIT_VERIFY
+
+
+@pytest.mark.parametrize("malform", [
+    lambda cov, ref: [],
+    lambda cov, ref: dict(cov, epsilon=None),
+    lambda cov, ref: dict(cov, placements=None),
+    lambda cov, ref: dict(ref, witness=None),
+    lambda cov, ref: dict(cov, body="cube"),
+    lambda cov, ref: dict(cov, net=None),
+    lambda cov, ref: {"schemaVersion": 1, "type": "illumination", "status": "unknown",
+                      "body": {"kind": "cube", "dim": 2}, "sources": None},
+], ids=["top-level-list", "epsilon-null", "placements-null", "witness-null",
+        "body-string", "net-null", "sources-null"])
+def test_malformed_certificates_exit_2(tmp_path, malform):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(malform(*_quadrant_certificates())))
+    assert dispatch(["verify", "--certificate", str(path)]) == EXIT_INPUT
 
 
 def test_verify_witness_certificate(tmp_path):
@@ -179,11 +217,11 @@ def test_body_json_file(tmp_path):
 PINNED_FN_SCHEDULE = [
     (["--lambda", "0.9", "--count", "300", "--seed", "9"],
      "d243142b4904187b1fcc30b95da111edfcb7be118b7d7da46a6fc41bc2b6ca19",
-     "f770ab50e15f1e3dadc550ab645a8d96ed105d8366a7700103fbd2510203582a"),
+     "9fb4506d9404ac727938ccf061e66706b0f6f2c935cd846e3b2ddf65bb2dfa61"),
     (["--lambda", "0.03", "--count", "13000", "--scale", "8", "--epsilon", "0.003",
       "--seed", "7"],
      "7d693dd30b5fb77b3242c9e291dce361a2ac4d6b3e1a2cf4e469445456112a33",
-     "4d51d465e4813398ea247acf5fe90f1e6cf9402a213cb036a6081a8eb27a5ed9"),
+     "e279432bc220e9cc1acb6629c37edd1c67693756d196a1c2853b84f938a15309"),
 ]
 
 

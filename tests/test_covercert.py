@@ -1,5 +1,9 @@
+import base64
+
 import numpy as np
 import pytest
+
+from homcover import covercert
 
 from homcover.bodies import ConvexBody, HomothetPlacement, covered_by_union
 from homcover.covercert import (
@@ -120,17 +124,34 @@ def test_certificate_roundtrip_and_tamper_detection():
     verdict = certify_cover(SQUARE, placements, 0.05)
     cert = verdict_to_dict(verdict, SQUARE, placements)
     assert recheck_certificate(cert)
-    tampered = dict(cert)
-    pairs = [list(p) for p in cert["assignment"]]
-    pairs[0][1] = (pairs[0][1] + 1) % 4
-    tampered["assignment"] = pairs
-    assert not recheck_certificate(tampered)
+    a = _decoded(cert)
+    a[0] = (a[0] + 1) % 4
+    assert not recheck_certificate(dict(cert, assignment=_encoded(a)))
 
     ref = refute_cover(SQUARE, placements[:3], RngSpec(5), 50_000)
     cert_r = verdict_to_dict(ref, SQUARE, placements[:3])
     assert recheck_certificate(cert_r)
     cert_bad = dict(cert_r, witness=[0.0, 0.0])  # interior point is covered
     assert not recheck_certificate(cert_bad)
+
+
+def _decoded(cert):
+    """The embedded assignment as a writable int32 array."""
+    return np.frombuffer(base64.b64decode(cert["assignment"], validate=True), dtype="<i4").copy()
+
+
+def _encoded(a):
+    return base64.b64encode(np.asarray(a, dtype="<i4").tobytes()).decode("ascii")
+
+
+def _edit(fn):
+    """A tamper that edits the decoded assignment and re-encodes it."""
+    return lambda cert: _encoded(fn(_decoded(cert), cert))
+
+
+def _with(a, j, value):
+    a[j] = value
+    return a
 
 
 def _miss(cert, j):
@@ -142,24 +163,40 @@ def _miss(cert, j):
 
 
 @pytest.mark.parametrize("tamper", [
-    lambda pairs, cert: pairs[0].__setitem__(0, len(pairs)),
-    lambda pairs, cert: pairs[0].__setitem__(1, -1),
-    lambda pairs, cert: pairs[0].__setitem__(1, 5),
-    lambda pairs, cert: pairs[1].__setitem__(0, pairs[0][0]),
-    lambda pairs, cert: pairs[0].__setitem__(1, _miss(cert, 0)),
-    lambda pairs, cert: pairs[0].__setitem__(1, 4),
-    lambda pairs, cert: pairs[0].__setitem__(1, 1.5),
-    lambda pairs, cert: pairs.pop(),
+    _edit(lambda a, cert: np.append(a, 0)),
+    _edit(lambda a, cert: _with(a, 0, -1)),
+    _edit(lambda a, cert: _with(a, 0, 5)),
+    _edit(lambda a, cert: np.append(a, a[0])),
+    _edit(lambda a, cert: _with(a, 0, _miss(cert, 0))),
+    _edit(lambda a, cert: _with(a, 0, 4)),
+    lambda cert: base64.b64encode(_decoded(cert).tobytes() + b"\0").decode("ascii"),  # 4n + 1 bytes
+    lambda cert: cert["assignment"][:4] + "!" + cert["assignment"][4:],
+    lambda cert: [[j, int(i)] for j, i in enumerate(_decoded(cert))],
+    _edit(lambda a, cert: a[:-1]),
 ], ids=["net-index-out-of-range", "copy-index-negative", "copy-index-out-of-range",
         "duplicate-net-index", "copy-misses-point", "copy-shrunk-to-nothing",
-        "non-integer-index", "net-point-left-out"])
+        "non-integer-index", "not-base64", "schema-1-pair-list", "net-point-left-out"])
 def test_tampered_assignment_is_rejected(tamper):
     placements = quadrant_placements(0.45, 0.6) + [HomothetPlacement(np.zeros(2), 0.01)]
     cert = verdict_to_dict(certify_cover(SQUARE, placements, 0.05), SQUARE, placements)
     assert recheck_certificate(cert)
-    pairs = [list(p) for p in cert["assignment"]]
-    tamper(pairs, cert)
-    assert not recheck_certificate(dict(cert, assignment=pairs))
+    assert not recheck_certificate(dict(cert, assignment=tamper(cert)))
+
+
+def test_large_certificate_is_replayed_without_search(monkeypatch):
+    placements = quadrant_placements(0.45, 0.6)
+    cert = verdict_to_dict(certify_cover(SQUARE, placements, 0.003), SQUARE, placements)
+    assert cert["net"]["size"] > 200_000
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("verification must not re-run the search")
+
+    monkeypatch.setattr(covercert, "certify_cover", no_search)
+    monkeypatch.setattr(covercert, "first_cover", no_search)
+    assert recheck_certificate(cert)
+    a = _decoded(cert)
+    a[0] = _miss(cert, 0)
+    assert not recheck_certificate(dict(cert, assignment=_encoded(a)))
 
 
 def test_certify_input_validation():
