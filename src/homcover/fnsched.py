@@ -7,11 +7,11 @@ partition covers one dyadic cube of a tiling of the body.  A single cube
 is covered in two phases: a random prefix placed uniformly in the slightly
 inflated cube, then a deterministic patch pass that lays the remaining
 pieces on a separated subset of the grid points the prefix missed.  The
-random centres are drawn in one batched pass: every piece keeps its own
-random stream, the first proposals of a block of streams are tested
-together, and only a stream with no hit among them is continued alone.
-The patch pass walks the missed points in grid order; each chosen point
-blocks the later points in its separation zone with one vectorised test.
+random centres are drawn in one multi-stream pass (``randvol.first_points``):
+every piece keeps its own random stream, and the first proposals of all
+streams are tested together.  The patch pass walks the missed points in grid
+order; each chosen point blocks the later points in its separation zone with
+one vectorised test.
 
 Every phase carries an explicit shrink margin, so the final verdict always
 comes from an independent coverage certificate, never from the scheduling
@@ -42,7 +42,7 @@ from .bodies import (
     cube_inclusion_factor,
 )
 from .covercert import CoverageVerdict
-from .randvol import RngSpec, sample_uniform
+from .randvol import RngSpec
 
 PHASE_RANDOM = "random"
 PHASE_PATCH = "patch"
@@ -221,58 +221,20 @@ def dyadic_plan(seq: RatioSequence, n: int, *, body_volume: float,
 # --- covering one cube -----------------------------------------------------
 
 
-_FIRST_PROPOSALS = 64     # proposals per draw of a one-point stream
-_STREAMS_PER_BLOCK = 1024  # streams whose first proposals are tested together
-
-
-def _box_minus_body_bounds(side: float, body: ConvexBody, coeff: float):
+def _random_phase_points(side: float, body: ConvexBody, specs: randvol.RngStreams) -> np.ndarray:
+    """The first point of each stream in side*B_inf - 2K, by rejection from
+    its bounding box: x lies in that set exactly when -x/2 lies in
+    K + (side/2)*B_inf."""
     V = body.vertices
-    return -side - coeff * V.max(axis=0), side - coeff * V.min(axis=0)
+    return randvol.first_points(lambda pts: body.dilated_contains(-pts / 2.0, side / 2.0),
+                                -side - 2.0 * V.max(axis=0), side - 2.0 * V.min(axis=0), specs)
 
 
-def _sample_box_minus_body(side: float, body: ConvexBody, coeff: float,
-                           rng: RngSpec, count: int) -> np.ndarray:
-    """Uniform points in side*B_inf - coeff*K by rejection from the box:
-    x is in that set exactly when -x/coeff is in K + (side/coeff)*B_inf."""
-    lo, hi = _box_minus_body_bounds(side, body, coeff)
-    gen = rng.generator()
-    out = []
-    got = 0
-    tries = 0
-    while got < count:
-        batch = gen.uniform(lo, hi, size=(max(_FIRST_PROPOSALS, count), body.dim))
-        keep = body.dilated_contains(-batch / coeff, side / coeff)
-        out.append(batch[keep])
-        got += int(keep.sum())
-        tries += batch.shape[0]
-        if tries > 200 * (count + 100):
-            raise randvol.RejectionTooSlow("box-minus-body sampling stalled")
-    return np.concatenate(out)[:count]
-
-
-def _first_points_box_minus_body(side: float, body: ConvexBody, coeff: float,
-                                 rngs: Sequence[RngSpec]) -> np.ndarray:
-    """Row i is ``_sample_box_minus_body(side, body, coeff, rngs[i], 1)[0]``.
-
-    The first batch of every stream in a block is drawn as ``lo + (hi - lo) * u``
-    (bit for bit ``gen.uniform``) and tested in one call; each row takes its
-    first hit.  A stream with none is redrawn by the one-stream sampler, which
-    passes over the same proposals first, so its point and stall rule match."""
-    lo, hi = _box_minus_body_bounds(side, body, coeff)
-    n = body.dim
-    out = np.empty((len(rngs), n))
-    for start in range(0, len(rngs), _STREAMS_PER_BLOCK):
-        block = rngs[start:start + _STREAMS_PER_BLOCK]
-        rows = np.arange(len(block))
-        u = np.stack([r.generator().random((_FIRST_PROPOSALS, n)) for r in block])
-        batch = lo + (hi - lo) * u
-        keep = body.dilated_contains(-batch.reshape(-1, n) / coeff, side / coeff)
-        keep = keep.reshape(len(block), _FIRST_PROPOSALS)
-        first = keep.argmax(axis=1)
-        out[start:start + len(block)] = batch[rows, first]
-        for k in np.flatnonzero(~keep[rows, first]):
-            out[start + k] = _sample_box_minus_body(side, body, coeff, block[k], 1)[0]
-    return out
+def _reuse(shared: dict, key, build):
+    """``shared[key]``, built by ``build()`` on first use."""
+    if key not in shared:
+        shared[key] = build()
+    return shared[key]
 
 
 def separation_radius(pieces_body: ConvexBody, lam_min: float, shrink: float, n: int) -> float:
@@ -312,7 +274,8 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
                       rng: RngSpec, *, mode: str = MODE_DESK,
                       multiplier: float = DESK_MULTIPLIER,
                       cert_margin: float = 0.0,
-                      indices: Optional[Sequence[int]] = None) -> CoveringConstruction:
+                      indices: Optional[Sequence[int]] = None,
+                      shared: Optional[dict] = None) -> CoveringConstruction:
     """Two-phase translative covering of side*B_inf by {lambda_i * K}.
 
     Phase 1 places the shortest prefix whose volume meets the 4n-variant
@@ -321,7 +284,11 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
     shrunken by sigma_g + cert-margin; a separated subset of the missed
     grid points receives the remaining pieces.  The returned verdict comes
     from an independent cross-body coverage certificate on the cube.
+
+    Calls that pass the same ``shared`` dict build each distinct target cube,
+    marking grid and certificate net once.
     """
+    shared = {} if shared is None else shared
     body = pieces_body
     n = body.dim
     lambdas = np.asarray(lambdas, dtype=float)
@@ -356,8 +323,7 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
     target = rogers_factor(n, 4, mode, multiplier) * cube_vol
     m_prime = int(np.searchsorted(csum, target) + 1)
     m_prime = min(m_prime, M)
-    phase1_pts = _first_points_box_minus_body(
-        side, body, 2.0, [rng.child(_PIECE_TAG, i) for i in range(m_prime)])
+    phase1_pts = _random_phase_points(side, body, rng.children(_PIECE_TAG, np.arange(m_prime)))
     placements = [HomothetPlacement(phase1_pts[i], lambdas[i]) for i in range(m_prime)]
 
     # margins: sigma_g for the marking grid, cert margin for the final net
@@ -367,7 +333,7 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
     delta_cert = max(cert_margin, lam_min / 24.0)
     shrink = sigma_g + delta_cert
 
-    target_body = ConvexBody.cube(n, scale=side)
+    target_body = _reuse(shared, ("target", n, side), lambda: ConvexBody.cube(n, scale=side))
     tau = cover_factor(target_body, body)
     eps_cert = (delta_cert / 1.05) / tau
     c_k, r_k = body.chebyshev
@@ -381,7 +347,8 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
     def keep(pts, half):
         return np.all(np.abs(pts + anchor) <= side_marked + half, axis=1)
 
-    grid_pts, _ = nets.gauge_grid(n, keep, sigma_g * r_k, anchor, box_lo, box_hi)
+    grid_pts = _reuse(shared, ("grid", body, side, sigma_g, eps_cert), lambda: nets.gauge_grid(
+        n, keep, sigma_g * r_k, anchor, box_lo, box_hi)[0])
     covered = covered_by_union(body, placements, grid_pts, shrink=shrink)
     marked = grid_pts[~covered]
 
@@ -406,7 +373,9 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
                     PHASE_RANDOM if i < m_prime else PHASE_PATCH)
         for i in range(M)
     ]
-    verdict = covercert.certify_cover(target_body, placements, eps_cert,
+    net = _reuse(shared, ("net", n, side, eps_cert),
+                 lambda: nets.build_net(target_body, eps_cert))
+    verdict = covercert.certify_cover(target_body, placements, eps_cert, net=net,
                                       pieces_body=body)
     info.update({
         "mPrime": m_prime,
@@ -475,12 +444,10 @@ def schedule_covering(body: ConvexBody, seq: RatioSequence, rng: RngSpec, *,
         lams = [seq.ratios[i] for i in large]
         eps = eps_final if eps_final is not None else \
             min(max(min(lams) / 10.0, 1e-4), 0.25)
-        placements = []
-        for i in large:
-            lam = seq.ratios[i]
-            center = sample_uniform(MinkowskiCombo(body, 1.0, lam),
-                                    rng.child(_PIECE_TAG, i), 1)[0]
-            placements.append(HomothetPlacement(center, lam))
+        combos = {lam: MinkowskiCombo(body, 1.0, lam) for lam in lams}
+        centers = randvol.sample_first([combos[lam] for lam in lams],
+                                       rng.children(_PIECE_TAG, np.array(large)))
+        placements = [HomothetPlacement(c, lam) for c, lam in zip(centers, lams)]
         verdict = covercert.certify_cover(body, placements, eps)
         pieces = [PlacedPiece(i, pl.center, pl.ratio, PHASE_PROP1)
                   for i, pl in zip(large, placements)]
@@ -518,6 +485,7 @@ def schedule_covering(body: ConvexBody, seq: RatioSequence, rng: RngSpec, *,
     pieces: list[PlacedPiece] = []
     per_cube = []
     cube_certificates = []
+    shared = {}  # grids and nets equal across cubes, for this call only
     for cube_no, (center, s_k, key) in enumerate(plan.cube_assignments):
         k, _ = key
         idx = plan.partitions[key]
@@ -526,7 +494,7 @@ def schedule_covering(body: ConvexBody, seq: RatioSequence, rng: RngSpec, *,
         sub = cover_cube_two_phase(
             float(n ** 2), pieces_small, lams, rng.child(_CUBE_TAG, cube_no),
             mode=mode, multiplier=multiplier,
-            cert_margin=eps_f * rescale * 1.05, indices=idx)
+            cert_margin=eps_f * rescale * 1.05, indices=idx, shared=shared)
         back = s_k / n ** 2
         for piece in sub.pieces:
             pieces.append(PlacedPiece(piece.index, center + piece.center * back,

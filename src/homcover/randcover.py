@@ -1,7 +1,8 @@
 """Randomized covering experiments and the reference-bound calculators.
 
 A trial draws one random center per ratio, uniformly inside K - lambda_i*K
-(independent streams keyed by (trial, i)), then asks the coverage decider
+(independent streams keyed by (trial, i), all drawn in one multi-stream
+pass per distinct ratio), then asks the coverage decider
 for a verdict.  Unknown counts as failure-to-certify, so the reported
 frequency is a conservative lower bound on the true coverage probability.
 All logarithms are natural.
@@ -14,11 +15,13 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from . import covercert, nets
 from .bodies import ConvexBody, HomothetPlacement, MinkowskiCombo
 from .covercert import CERTIFIED, REFUTED, UNKNOWN
 from .nets import EpsNet
-from .randvol import RngSpec, difference_volume_ratio, sample_uniform
+from .randvol import RngSpec, difference_volume_ratio, sample_first
 
 _PROBE_STREAM_TAG = 0x5EED
 
@@ -106,15 +109,15 @@ def iter_trials(config: CoverExperimentConfig,
     body = config.body
     if net is None:
         net = nets.build_net(body, config.epsilon)
-    combos = {}
+    if config.sample_combo is not None:
+        combos = [config.sample_combo] * len(config.ratios)
+    else:
+        by_ratio = {lam: MinkowskiCombo(body, 1.0, lam) for lam in config.ratios}
+        combos = [by_ratio[lam] for lam in config.ratios]
+    copies = np.arange(len(config.ratios))
     for t in range(config.trials):
-        placements = []
-        for i, lam in enumerate(config.ratios):
-            combo = config.sample_combo
-            if combo is None:
-                combo = combos.setdefault(lam, MinkowskiCombo(body, 1.0, lam))
-            center = sample_uniform(combo, config.rng.child(t, i), 1)[0]
-            placements.append(HomothetPlacement(center, lam))
+        centers = sample_first(combos, config.rng.children(t, copies))
+        placements = [HomothetPlacement(c, lam) for c, lam in zip(centers, config.ratios)]
         verdict = covercert.decide_cover(
             body, placements, config.epsilon,
             config.rng.child(t, _PROBE_STREAM_TAG), config.probes, net=net)

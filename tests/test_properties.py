@@ -1,9 +1,10 @@
 """Property tests on random vertex bodies in R^2..R^4 and the special kinds:
 the H-representation fast paths against LP oracles, the coverage kernel
 against a dense membership matrix, thread-count and sampler batch-size
-invariance, the patch pass against a quadratic greedy, the batched phase-1
-draws and the grouped grid against their one-at-a-time forms, and the CLI's
-JSON writer against ``json.dumps``."""
+invariance, the patch pass against a quadratic greedy, the vectorised Philox
+and multi-stream draws against numpy's generator and the one-stream sampler,
+the grouped grid against its one-slab form, the soundness of decided
+coverage verdicts, and the CLI's JSON writer against ``json.dumps``."""
 
 import itertools
 import json
@@ -16,16 +17,16 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
-from homcover import bodies, fnsched, nets, runtime
+from homcover import bodies, fnsched, nets, randvol, runtime
 from homcover.bodies import MEMBERSHIP_TOL, ConvexBody, HomothetPlacement, MinkowskiCombo, \
     bounding_box, combo_contains, combo_contains_lp, covered_by_union, first_cover, \
     random_vrep_body
 from homcover.cli import _json_text
-from homcover.covercert import certify_cover
-from homcover.fnsched import _first_points_box_minus_body, _sample_box_minus_body, \
-    _separated_subset
+from homcover.covercert import CERTIFIED, REFUTED, certify_cover, decide_cover
+from homcover.fnsched import _random_phase_points, _separated_subset
 from homcover.nets import GRID_SLACK, NetTooLarge, build_net
-from homcover.randvol import RejectionTooSlow, RngSpec, sample_uniform
+from homcover.randvol import RejectionTooSlow, RngSpec, RngStreams, _philox_random, \
+    first_points, sample_first, sample_uniform
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -240,33 +241,140 @@ def test_grouped_gauge_grid_matches_one_slab_per_call(body, eps, block):
                              for s in range(0, slabs, per_call)]
 
 
+def box_minus_body_first(side, body, spec):
+    """The first point of one stream in side*B_inf - 2K, drawn 64 proposals at
+    a time from the stream until -x/2 lies in K + (side/2)*B_inf."""
+    lo = -side - 2.0 * body.vertices.max(axis=0)
+    hi = side - 2.0 * body.vertices.min(axis=0)
+    gen = spec.generator()
+    for _ in range(0, randvol._PROBE_PROPOSALS, 64):
+        batch = gen.uniform(lo, hi, size=(64, body.dim))
+        keep = body.dilated_contains(-batch / 2.0, side / 2.0)
+        if keep.any():
+            return batch[keep.argmax()]
+    raise RejectionTooSlow("no hit")
+
+
 @PROPERTY_SETTINGS
 @given(any_bodies(), seeds, st.floats(0.05, 4.0), st.integers(1, 40), st.integers(1, 50))
 def test_batched_first_draws_match_one_stream_sampler(body, seed, side, count, block):
-    rngs = [RngSpec(seed).child(fnsched._PIECE_TAG, i) for i in range(count)]
+    specs = RngSpec(seed).children(fnsched._PIECE_TAG, np.arange(count))
     try:
-        want = np.array([_sample_box_minus_body(side, body, 2.0, r, 1)[0] for r in rngs])
+        want = np.array([box_minus_body_first(side, body, specs[i]) for i in range(count)])
     except RejectionTooSlow:
         with pytest.raises(RejectionTooSlow):
-            _first_points_box_minus_body(side, body, 2.0, rngs)
+            _random_phase_points(side, body, specs)
         return
-    for streams in (fnsched._STREAMS_PER_BLOCK, block):
-        with mock.patch.object(fnsched, "_STREAMS_PER_BLOCK", streams):
-            got = _first_points_box_minus_body(side, body, 2.0, rngs)
+    for streams in (randvol._STREAMS_PER_BLOCK, block):
+        with mock.patch.object(randvol, "_STREAMS_PER_BLOCK", streams):
+            got = _random_phase_points(side, body, specs)
         assert got.tobytes() == want.tobytes()
 
 
 def test_batched_first_draws_fall_back_on_a_sliver():
-    # side*B_inf - 2K fills about 2% of its box, so roughly a quarter of the
-    # streams miss with every one of their first proposals
+    # side*B_inf - 2K fills about 2% of its box, so most streams miss with
+    # every one of their first proposals
     sliver = ConvexBody.from_vertices([[0.0, 0.0], [1.0, 1.0], [1.0, 1.02]])
-    rngs = [RngSpec(5).child(fnsched._PIECE_TAG, i) for i in range(40)]
-    want = np.array([_sample_box_minus_body(0.01, sliver, 2.0, r, 1)[0] for r in rngs])
-    with mock.patch.object(fnsched, "_sample_box_minus_body",
-                           wraps=_sample_box_minus_body) as one_stream:
-        got = _first_points_box_minus_body(0.01, sliver, 2.0, rngs)
+    specs = RngSpec(5).children(fnsched._PIECE_TAG, np.arange(40))
+    want = np.array([box_minus_body_first(0.01, sliver, specs[i]) for i in range(40)])
+    with mock.patch.object(randvol, "_sample", wraps=randvol._sample) as one_stream:
+        got = _random_phase_points(0.01, sliver, specs)
     assert one_stream.call_count >= 1
     assert got.tobytes() == want.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(seeds_64 := st.integers(0, 2 ** 64 - 1), st.lists(seeds_64, min_size=1, max_size=6),
+       st.integers(1, 13), st.integers(2, 4))
+@example(2 ** 63, [2 ** 64 - 1, 2 ** 63, 0], 13, 3)
+def test_vectorised_philox_matches_numpy(seed, streams, k, dim):
+    streams = np.array(streams, dtype=np.uint64)
+    got = _philox_random(seed, streams, k)
+    want = np.stack([RngSpec(seed, int(s)).generator().random(k) for s in streams])
+    assert got.tobytes() == want.tobytes()
+    # k proposals in R^dim: 3-D and 4-D proposals straddle the 4-word blocks
+    lo, hi = np.arange(dim) - 1.5, np.arange(dim) + 0.25
+    u = _philox_random(seed, streams, k * dim).reshape(-1, k, dim)
+    want = np.stack([RngSpec(seed, int(s)).generator().uniform(lo, hi, size=(k, dim))
+                     for s in streams])
+    assert (lo + (hi - lo) * u).tobytes() == want.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(seeds_64, seeds_64, st.integers(-2 ** 70, 2 ** 70),
+       st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=20))
+def test_vectorised_child_matches_scalar(seed, stream, tag, indices):
+    base = RngSpec(seed, stream)
+    got = base.children(tag, np.array(indices, dtype=np.int64))
+    assert got.seed == seed
+    assert got.streams.tolist() == [base.child(tag, i).stream for i in indices]
+    unsigned = np.array(indices, dtype=np.int64).astype(np.uint64)
+    assert base.children(unsigned, 7).streams.tolist() == \
+        [base.child(i, 7).stream for i in indices]
+
+
+@PROPERTY_SETTINGS
+@given(any_bodies(), coefficients, coefficients, seeds, st.integers(1, 40), st.integers(1, 8))
+def test_first_points_match_one_stream_sampler(body, a, c, seed, count, k):
+    combos = [MinkowskiCombo(body, a, c), MinkowskiCombo(body, 1.0, c)]
+    specs = RngSpec(seed).children(3, np.arange(count))
+    want = np.array([sample_uniform(combos[0], specs[i], 1)[0] for i in range(count)])
+    got = first_points(lambda pts: combo_contains(combos[0], pts), *bounding_box(combos[0]),
+                       specs, k)
+    assert got.tobytes() == want.tobytes()
+    # streams of two interleaved combos, each combo drawn in one pass
+    mixed = [combos[i % 3 == 0] for i in range(count)]
+    want = np.array([sample_uniform(mixed[i], specs[i], 1)[0] for i in range(count)])
+    assert sample_first(mixed, specs).tobytes() == want.tobytes()
+
+
+def test_first_points_fall_back_on_a_sliver():
+    sliver = MinkowskiCombo(ConvexBody.from_vertices([[0.0, 0.0], [1.0, 1.0], [1.0, 1.2]]),
+                            1.0, 0.0)  # 8% of its box: about half the streams miss 8 times
+    specs = RngSpec(8).children(4, np.arange(30))
+    want = np.array([sample_uniform(sliver, specs[i], 1)[0] for i in range(30)])
+    with mock.patch.object(randvol, "_sample", wraps=randvol._sample) as one_stream:
+        got = first_points(lambda pts: combo_contains(sliver, pts), *bounding_box(sliver), specs)
+    assert 1 <= one_stream.call_count < 30
+    assert got.tobytes() == want.tobytes()
+
+
+def test_first_points_stall_like_the_one_stream_sampler(monkeypatch):
+    monkeypatch.setattr(randvol, "_PROBE_PROPOSALS", 5000)
+    combo = MinkowskiCombo(ConvexBody.cross_polytope(10), 1.0, 0.0)  # 1/10! of its box
+    lo, hi = bounding_box(combo)
+    specs = RngSpec(2).children(1, np.arange(20))
+    with pytest.raises(RejectionTooSlow):
+        sample_uniform(combo, specs[0], 1)
+    for streams in (specs, RngStreams(2, specs.streams[:1])):  # vectorised, one at a time
+        with pytest.raises(RejectionTooSlow):
+            first_points(lambda pts: combo_contains(combo, pts), lo, hi, streams)
+
+
+@PROPERTY_SETTINGS
+@given(any_bodies(), seeds, st.integers(1, 12), st.floats(0.4, 0.95), st.floats(0.2, 0.45),
+       st.booleans())
+def test_decided_verdicts_are_sound(body, seed, count, lam, eps, whole):
+    """A certified verdict leaves no uniform probe of K uncovered; a refuted
+    witness lies in K and outside every copy."""
+    specs = RngSpec(seed).children(1, np.arange(count))
+    centers = sample_first([MinkowskiCombo(body, 1.0, lam)] * count, specs)
+    placements = [HomothetPlacement(c, lam) for c in centers]
+    try:
+        net = build_net(body, eps, max_points=50_000)
+        if whole:  # unit copies on a 1/2-net cover K even after the shrink
+            placements += [HomothetPlacement(y, 1.0)
+                           for y in build_net(body, 0.5, max_points=50_000).points]
+    except NetTooLarge:
+        return  # a sliver body: its net would need millions of points
+    verdict = decide_cover(body, placements, eps, RngSpec(seed, 1), 2000, net=net)
+    if verdict.status == CERTIFIED:
+        probes = sample_uniform(MinkowskiCombo(body, 1.0, 0.0), RngSpec(seed, 2), 5000)
+        assert (dense_first_cover(body, placements, probes, 0.0) >= 0).all()
+    elif verdict.status == REFUTED:
+        w = verdict.witness
+        assert combo_contains_lp(MinkowskiCombo(body, 1.0, 0.0), w)
+        assert dense_first_cover(body, placements, w[None], 0.0)[0] == -1
 
 
 json_scalars = st.one_of(

@@ -111,6 +111,24 @@ def test_rejection_too_slow_guard(monkeypatch):
         sample_uniform(MinkowskiCombo(body, 1.0, 0.0), RngSpec(2), 10, batch=4096)
 
 
+def test_rejection_floor_applies_after_an_early_hit(monkeypatch):
+    # the first proposal is a hit, then one in 500: below a 1% floor, so the
+    # sampler must stop after 1000 proposals, not go on collecting 20 points
+    monkeypatch.setattr(randvol, "_PROBE_PROPOSALS", 1000)
+    monkeypatch.setattr(randvol, "_REJECTION_FLOOR", 0.01)
+    seen = [0]
+
+    def one_in_500(combo, pts):
+        index = seen[0] + np.arange(len(pts))
+        seen[0] += len(pts)
+        return index % 500 == 0
+
+    monkeypatch.setattr(randvol, "combo_contains", one_in_500)
+    with pytest.raises(RejectionTooSlow):
+        sample_uniform(MinkowskiCombo(ConvexBody.cube(2), 1.0, 0.0), RngSpec(1), 20)
+    assert seen[0] < 2000
+
+
 def test_wilson_interval_edges():
     lo, hi = wilson_interval(0, 100)
     assert lo == pytest.approx(0.0, abs=1e-12) and hi > 0.0
