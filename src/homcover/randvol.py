@@ -112,7 +112,7 @@ class RngSpec:
         """``child`` over index paths whose entries are ints or integer arrays
         (broadcast together): stream i is ``child(*path_i).stream``."""
         parts = np.broadcast_arrays(*(_as_uint64(v) for v in indices))
-        s = np.full(parts[0].shape if parts else 1, self.stream & _MASK64, dtype=np.uint64)
+        s = np.full(parts[0].shape, self.stream & _MASK64, dtype=np.uint64)
         for v in parts:
             s = _splitmix64_array(s ^ _splitmix64_array(v + np.uint64(0x632BE59BD9B4E019)))
         return RngStreams(self.seed, s)
@@ -233,18 +233,27 @@ def _sample(member: Callable, lo: np.ndarray, hi: np.ndarray, rng: RngSpec, coun
         _check_stall(proposals, got)
 
 
-def sample_uniform(combo: MinkowskiCombo, rng: RngSpec, count: int,
-                   batch: int = 8192) -> np.ndarray:
+def sample_uniform(combo: MinkowskiCombo, rng, count: int, batch: int = 8192) -> np.ndarray:
     """i.i.d. uniform points in plus*K - minus*K by rejection from its
     bounding box.  Every returned point satisfies combo_contains.
 
-    Proposals come in batches that start at max(16, count) and double up to
-    ``batch``.  The Philox stream does not depend on how it is cut into
-    batches, so the points returned do not depend on ``batch`` either."""
+    From one stream (an RngSpec), proposals come in batches that start at
+    max(16, count) and double up to ``batch``.  The Philox stream does not
+    depend on how it is cut into batches, so the points returned do not
+    depend on ``batch`` either.  From many streams (RngStreams, count 1),
+    row i is ``sample_uniform(combo, rng[i], 1)[0]``, all rows drawn in one
+    pass as by first_points."""
     if count < 1:
         raise ValueError("count must be positive")
     lo, hi = bounding_box(combo)
-    return _sample(lambda pts: combo_contains(combo, pts), lo, hi, rng, count, batch)
+    member = lambda pts: combo_contains(combo, pts)
+    if isinstance(rng, RngStreams):
+        if count != 1:
+            raise ValueError("many streams give one point each")
+        # the shared core, not first_points itself, so that a trace of the
+        # public functions counts these proposals as sample_uniform's
+        return _first_points(member, lo, hi, rng, _FIRST_PROPOSALS)
+    return _sample(member, lo, hi, rng, count, batch)
 
 
 def first_points(member: Callable, lo, hi, specs: RngStreams,
@@ -257,6 +266,10 @@ def first_points(member: Callable, lo, hi, specs: RngStreams,
     hit among them is replayed by the one-stream sampler, whose stall rule
     then applies.  Fewer than _VECTOR_MIN_STREAMS streams are drawn one at a
     time."""
+    return _first_points(member, lo, hi, specs, k)
+
+
+def _first_points(member: Callable, lo, hi, specs: RngStreams, k: int) -> np.ndarray:
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     n = lo.shape[0]
     out = np.empty((len(specs), n))
@@ -279,15 +292,13 @@ def first_points(member: Callable, lo, hi, specs: RngStreams,
 
 def sample_first(combos: Sequence[MinkowskiCombo], specs: RngStreams) -> np.ndarray:
     """Row i is ``sample_uniform(combos[i], specs[i], 1)[0]``.  The streams of
-    each distinct combo (the same object) are drawn by one first_points call."""
+    each distinct combo (the same object) are drawn by one sample_uniform call."""
     groups = {}
     for i, combo in enumerate(combos):
         groups.setdefault(id(combo), (combo, []))[1].append(i)
     out = np.empty((len(combos), combos[0].dim))
     for combo, rows in groups.values():
-        streams = RngStreams(specs.seed, specs.streams[rows])
-        out[rows] = first_points(lambda pts: combo_contains(combo, pts),
-                                 *bounding_box(combo), streams)
+        out[rows] = sample_uniform(combo, RngStreams(specs.seed, specs.streams[rows]), 1)
     return out
 
 

@@ -51,6 +51,7 @@ def any_bodies(draw):
 
 coefficients = st.floats(0.05, 2.0)
 seeds = st.integers(0, 2 ** 32 - 1)
+seeds_64 = st.integers(0, 2 ** 64 - 1)
 
 
 def random_placements(body, rng, count):
@@ -284,7 +285,7 @@ def test_batched_first_draws_fall_back_on_a_sliver():
 
 
 @PROPERTY_SETTINGS
-@given(seeds_64 := st.integers(0, 2 ** 64 - 1), st.lists(seeds_64, min_size=1, max_size=6),
+@given(seeds_64, st.lists(seeds_64, min_size=1, max_size=6),
        st.integers(1, 13), st.integers(2, 4))
 @example(2 ** 63, [2 ** 64 - 1, 2 ** 63, 0], 13, 3)
 def test_vectorised_philox_matches_numpy(seed, streams, k, dim):
@@ -322,8 +323,11 @@ def test_first_points_match_one_stream_sampler(body, a, c, seed, count, k):
     got = first_points(lambda pts: combo_contains(combos[0], pts), *bounding_box(combos[0]),
                        specs, k)
     assert got.tobytes() == want.tobytes()
+    assert sample_uniform(combos[0], specs, 1).tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        sample_uniform(combos[0], specs, 2)
     # streams of two interleaved combos, each combo drawn in one pass
-    mixed = [combos[i % 3 == 0] for i in range(count)]
+    mixed = [combos[1 if i % 3 == 0 else 0] for i in range(count)]
     want = np.array([sample_uniform(mixed[i], specs[i], 1)[0] for i in range(count)])
     assert sample_first(mixed, specs).tobytes() == want.tobytes()
 
