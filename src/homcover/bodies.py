@@ -489,30 +489,17 @@ def combo_contains(combo: MinkowskiCombo, points):
 
 def combo_contains_lp(combo: MinkowskiCombo, point) -> bool:
     """Reference path: one linear feasibility problem over barycentric
-    weights of both copies (point = a * V' p - c * V' q, p and q stochastic)."""
+    weights p, q >= 0 of both copies,
+    [a V^T, -c V^T; 1^T 0^T; 0^T 1^T] [p; q] == [point; 1; 1]."""
     point = np.asarray(point, dtype=float)
     if point.shape != (combo.dim,):
         raise ValueError("point dimension mismatch")
     V = combo.body.vertices
-    k, n = V.shape
+    k = V.shape[0]
     a, c = combo.plus_coeff, combo.minus_coeff
-    coeffs, rels, rhs = [], [], []
-    for j in range(n):
-        row = np.concatenate([a * V[:, j], -c * V[:, j]])
-        coeffs.append(row)
-        rels.append(lpcore.EQ)
-        rhs.append(point[j])
-    ones_p = np.concatenate([np.ones(k), np.zeros(k)])
-    ones_q = np.concatenate([np.zeros(k), np.ones(k)])
-    coeffs += [ones_p, ones_q]
-    rels += [lpcore.EQ, lpcore.EQ]
-    rhs += [1.0, 1.0]
-    lp = lpcore.LinearProgram(
-        np.zeros(2 * k),
-        list(zip(coeffs, rels, rhs)),
-        var_bounds=[(0.0, None)] * (2 * k),
-    )
-    return lpcore.solve(lp).status == lpcore.OPTIMAL
+    A = np.vstack([np.hstack([a * V.T, -c * V.T]), np.repeat(np.eye(2), k, axis=1)])
+    status, _ = lpcore.solve(A, np.append(point, [1.0, 1.0]), np.zeros(2 * k))
+    return status == lpcore.OPTIMAL
 
 
 # --- factors used by cross-body certificates ------------------------------

@@ -66,19 +66,6 @@ class IlluminationVerdict:
     probes_used: int = 0
 
 
-def boundary_point(body: ConvexBody, direction, anchor=None) -> np.ndarray:
-    """Boundary point hit by the ray from an interior anchor (default: the
-    Chebyshev center) along the given direction."""
-    from . import lpcore
-
-    direction = np.asarray(direction, dtype=float)
-    if anchor is None:
-        anchor = body.chebyshev[0]
-    A, b = body.halfspaces
-    t = lpcore.ray_max(A, b, anchor, direction)
-    return anchor + t * direction
-
-
 def _line_interior_window(body: ConvexBody, source: np.ndarray, pts: np.ndarray):
     """Per point x, the open parameter window where p + s (x - p) is
     strictly interior, as arrays (s_lo, s_hi, window_ok)."""
@@ -112,13 +99,8 @@ def illuminated_mask(body: ConvexBody, source: LightSource, pts) -> np.ndarray:
 
 
 def illuminates(body: ConvexBody, source: LightSource, point) -> bool:
-    """Single-point illumination predicate with input validation.
-
-    The interior window along the line is the pair of directional ray
-    maxima (beyond the boundary point, and behind the source); a candidate
-    parameter from the admissible side is then re-checked to be strictly
-    interior.
-    """
+    """Single-point illumination predicate with input validation; it
+    decides with `illuminated_mask`, the predicate the falsifier uses."""
     x = np.asarray(point, dtype=float)
     A, b = body.halfspaces
     facet_gap = float(np.max(A @ x - b))
@@ -126,20 +108,7 @@ def illuminates(body: ConvexBody, source: LightSource, point) -> bool:
         raise ValueError("point is not on the boundary within tolerance")
     if body.contains(source.position, "closed"):
         raise ValueError("source must lie outside the body")
-    s_lo, s_hi, ok = _line_interior_window(body, source.position, x[None, :])
-    s_lo, s_hi, ok = float(s_lo[0]), float(s_hi[0]), bool(ok[0])
-    if not ok:
-        return False
-    p = source.position
-    if s_hi > 1.0 + 1e-9:
-        s_mid = (max(1.0, s_lo) + s_hi) / 2.0
-        if body.contains(p + s_mid * (x - p), "strictInterior"):
-            return True
-    if s_lo < -1e-9:
-        s_mid = (s_lo + min(0.0, s_hi)) / 2.0
-        if body.contains(p + s_mid * (x - p), "strictInterior"):
-            return True
-    return False
+    return bool(illuminated_mask(body, source, x[None, :])[0])
 
 
 @dataclass(eq=False)

@@ -67,16 +67,8 @@ class UnsupportedBody(ValueError):
     """No closed-form volume for this body kind."""
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
 def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """``_splitmix64`` on a uint64 array (numpy's uint64 arithmetic wraps)."""
+    """The splitmix64 finalizer on a uint64 array (numpy's uint64 arithmetic wraps)."""
     z = x + np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -103,16 +95,15 @@ class RngSpec:
 
     def child(self, *indices: int) -> "RngSpec":
         """Derive an independent substream keyed by an index path."""
-        s = self.stream & _MASK64
-        for v in indices:
-            s = _splitmix64(s ^ _splitmix64((int(v) + 0x632BE59BD9B4E019) & _MASK64))
-        return RngSpec(self.seed, s)
+        return self.children(*indices)[0]
 
     def children(self, *indices) -> "RngStreams":
-        """``child`` over index paths whose entries are ints or integer arrays
-        (broadcast together): stream i is ``child(*path_i).stream``."""
+        """Substreams keyed by index paths whose entries are ints or integer
+        arrays, broadcast together and taken modulo 2^64.  Path i folds each
+        index v into the stream as s = sm(s ^ sm(v + 0x632BE59BD9B4E019)),
+        with sm the splitmix64 finalizer."""
         parts = np.broadcast_arrays(*(_as_uint64(v) for v in indices))
-        s = np.full(parts[0].shape, self.stream & _MASK64, dtype=np.uint64)
+        s = np.full(parts[0].shape if parts else 1, self.stream & _MASK64, dtype=np.uint64)
         for v in parts:
             s = _splitmix64_array(s ^ _splitmix64_array(v + np.uint64(0x632BE59BD9B4E019)))
         return RngStreams(self.seed, s)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from homcover import cli
-from homcover.bodies import ConvexBody, HomothetPlacement
+from homcover.bodies import ConvexBody, HomothetPlacement, random_vrep_body
 from homcover.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, dispatch
 from homcover.covercert import certify_cover, refute_cover, verdict_to_dict
 from homcover.randvol import RngSpec
@@ -151,6 +151,15 @@ def test_fn_schedule_certificate_roundtrip(tmp_path):
     assert payload["status"] == "certified"
     assert payload["info"]["branch"] == "A"
     assert dispatch(["verify", "--certificate", str(cert)]) == EXIT_OK
+
+
+def test_net_on_a_body_whose_simplex_is_inaccurate(tmp_path):
+    # the Chebyshev simplex overshoots a facet of this body by 4.1e-07
+    body = tmp_path / "vrep5.json"
+    body.write_text(json.dumps(random_vrep_body(5, 12, np.random.default_rng(92)).to_spec()))
+    out = tmp_path / "net.json"
+    assert dispatch(["net", "--body", str(body), "--epsilon", "0.9", "--out", str(out)]) == EXIT_OK
+    assert read_json(out)["size"] == 4966
 
 
 def test_numeric_failures_exit_3(tmp_path):

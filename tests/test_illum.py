@@ -11,7 +11,7 @@ from homcover.illum import (
     VERIFIED_BY_COVERING,
     ConversionRequiresCertificate,
     LightSource,
-    boundary_point,
+    _line_interior_window,
     covering_to_illumination,
     illuminated_mask,
     illuminates,
@@ -60,13 +60,6 @@ def test_illumination_scale_and_permutation_invariance():
 def test_antipodal_source_does_not_light_a_vertex():
     # interior points of that line are all between source and vertex
     assert not illuminates(SQUARE, LightSource(np.array([-2.0, -2.0])), [1.0, 1.0])
-
-
-def test_boundary_point_generation():
-    for d in ([1.0, 0.0], [0.7, -0.4], [-0.3, 0.9]):
-        x = boundary_point(SQUARE, d)
-        A, b = SQUARE.halfspaces
-        assert abs(float(np.max(A @ x - b))) < 1e-9
 
 
 def test_square_four_sources_accepted():
@@ -137,10 +130,26 @@ def test_illumination_certificate_roundtrip():
     assert not recheck_illumination_certificate(bad)
 
 
+def midpoint_illuminates(body, source, x):
+    """Scalar oracle: a parameter from the admissible side of the interior
+    window along the line through the source and x, re-checked to be
+    strictly interior."""
+    p = source.position
+    s_lo, s_hi, ok = _line_interior_window(body, p, x[None, :])
+    s_lo, s_hi = float(s_lo[0]), float(s_hi[0])
+    if not ok[0]:
+        return False
+    if s_hi > 1.0 + 1e-9 and body.contains(p + (max(1.0, s_lo) + s_hi) / 2.0 * (x - p),
+                                            "strictInterior"):
+        return True
+    return s_lo < -1e-9 and body.contains(p + (s_lo + min(0.0, s_hi)) / 2.0 * (x - p),
+                                          "strictInterior")
+
+
 def test_illuminated_mask_matches_scalar(np_rng):
     src = LightSource(np.array([2.0, 0.7]))
     dirs = np_rng.normal(size=(200, 2))
-    pts = np.array([boundary_point(SQUARE, d) for d in dirs])
+    pts = dirs / np.abs(dirs).max(axis=1)[:, None]  # the square's boundary
     mask = illuminated_mask(SQUARE, src, pts)
-    scalar = np.array([illuminates(SQUARE, src, p) for p in pts])
-    assert np.array_equal(mask, scalar)
+    oracle = np.array([midpoint_illuminates(SQUARE, src, p) for p in pts])
+    assert np.array_equal(mask, oracle)

@@ -1,43 +1,55 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linprog
 
 from homcover import lpcore
 from homcover.bodies import ConvexBody, random_vrep_body
 from homcover.randvol import RngSpec
 
 
+def solve_inequalities(c, A, b):
+    """maximize c @ x over {A x <= b} with x free, through the standard form
+    [A, -A, I] [x+; x-; s] == b: returns (status, x, objective value)."""
+    c = np.asarray(c, dtype=float)
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    m, n = A.shape
+    status, z = lpcore.solve(np.hstack([A, -A, np.eye(m)]), np.asarray(b, dtype=float),
+                             np.concatenate([c, -c, np.zeros(m)]))
+    if status != lpcore.OPTIMAL:
+        return status, None, None
+    x = z[:n] - z[n:2 * n]
+    return status, x, float(c @ x)
+
+
 def test_single_variable_box():
-    lp = lpcore.LinearProgram([1.0], [([1.0], "<=", 1.0)], var_bounds=[(0.0, None)])
-    out = lpcore.solve(lp)
-    assert out.status == lpcore.OPTIMAL
-    assert out.solution[0] == pytest.approx(1.0, abs=1e-9)
+    # max x subject to x + s == 1 with x, s >= 0
+    status, x = lpcore.solve(np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 0.0]))
+    assert status == lpcore.OPTIMAL
+    assert x[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_contradictory_constraints_infeasible():
-    lp = lpcore.LinearProgram([0.0], [([1.0], "==", 2.0), ([1.0], "<=", 1.0)])
-    assert lpcore.solve(lp).status == lpcore.INFEASIBLE
+    # x == 2 and x <= 1 with x = x+ - x- free
+    A = np.array([[1.0, -1.0, 0.0], [1.0, -1.0, 1.0]])
+    status, x = lpcore.solve(A, np.array([2.0, 1.0]), np.zeros(3))
+    assert status == lpcore.INFEASIBLE and x is None
 
 
 def test_triangle_objective_matches_vertex_enumeration():
-    rows = [([1.0, 1.0], "<=", 1.0), ([-1.0, 0.0], "<=", 0.0), ([0.0, -1.0], "<=", 0.0)]
-    out = lpcore.solve(lpcore.LinearProgram([1.0, 1.0], rows))
+    A = [[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    status, _, value = solve_inequalities([1.0, 1.0], A, [1.0, 0.0, 0.0])
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert out.status == lpcore.OPTIMAL
-    assert out.objective_value == pytest.approx(max(vertices.sum(axis=1)), abs=1e-9)
+    assert status == lpcore.OPTIMAL
+    assert value == pytest.approx(max(vertices.sum(axis=1)), abs=1e-9)
 
 
 def test_unbounded_detected():
-    lp = lpcore.LinearProgram([1.0, 0.0], [([-1.0, 0.0], "<=", 0.0)])
-    assert lpcore.solve(lp).status == lpcore.UNBOUNDED
-
-
-def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        lpcore.LinearProgram([1.0, 2.0], [([1.0], "<=", 1.0)])
-    with pytest.raises(ValueError):
-        lpcore.LinearProgram([1.0], [([1.0], "<", 1.0)])
+    status, x, _ = solve_inequalities([1.0, 0.0], [[-1.0, 0.0]], [0.0])
+    assert status == lpcore.UNBOUNDED and x is None
 
 
 def test_chebyshev_square():
@@ -71,23 +83,48 @@ def test_chebyshev_empty_interior():
         lpcore.chebyshev_center(A, b)
 
 
-def test_ray_max_examples():
-    cube = ConvexBody.cube(2)
-    A, b = cube.halfspaces
-    assert lpcore.ray_max(A, b, [0, 0], [1, 0]) == pytest.approx(1.0, abs=1e-9)
-    assert lpcore.ray_max(A, b, [0, 0], [1, 1]) == pytest.approx(1.0, abs=1e-9)
-    T = ConvexBody.from_vertices([[0, 0], [1, 0], [0, 1]])
-    At, bt = T.halfspaces
-    assert lpcore.ray_max(At, bt, [0.25, 0.25], [1, 1]) == pytest.approx(0.25, abs=1e-9)
+def pinned_bodies():
+    """vrep3's body, three squares, and 99 random vertex bodies in R^2..R^4."""
+    yield random_vrep_body(3, 12, np.random.default_rng(3))
+    yield ConvexBody.cube(2)
+    yield ConvexBody.cube(2, 4.0)
+    yield ConvexBody.cube(2).scaled(2 ** -1.5)
+    for seed in range(99):
+        dim = 2 + seed % 3
+        yield random_vrep_body(dim, dim + 1 + seed % 9, np.random.default_rng(seed))
 
 
-def test_ray_max_rejects_outside_origin():
-    cube = ConvexBody.cube(2)
-    A, b = cube.halfspaces
-    with pytest.raises(ValueError):
-        lpcore.ray_max(A, b, [2.0, 0.0], [1.0, 0.0])
-    with pytest.raises(ValueError):
-        lpcore.ray_max(A, b, [0.0, 0.0], [0.0, 0.0])
+def chebyshev_digest(bodies) -> str:
+    h = hashlib.sha256()
+    for body in bodies:
+        center, radius = body.chebyshev
+        h.update(np.asarray(center, dtype=np.float64).tobytes())
+        h.update(np.float64(radius).tobytes())
+    return h.hexdigest()
+
+
+def test_chebyshev_bytes_are_pinned():
+    # every grid spacing and net anchor derives from these bytes
+    assert chebyshev_digest(pinned_bodies()) == \
+        "e731a3e4c0d06e54d72afda42d99a576ddd1c13592360929a3105ae78b275d23"
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 12), st.integers(0, 2 ** 32 - 1))
+@example(5, 6, 92)  # the simplex's ball overshoots a facet of this body
+@example(5, 7, 223)  # shrunk at the simplex's own centre, this ball is 5.6% short
+def test_chebyshev_ball_fits_and_is_near_optimal(dim, extra, seed):
+    body = random_vrep_body(dim, dim + 1 + extra, np.random.default_rng(seed))
+    A, b = body.halfspaces
+    center, radius = lpcore.chebyshev_center(A, b)
+    norms = np.linalg.norm(A, axis=1)
+    # an LP ball is accepted up to the simplex's residual bound
+    tol = 10 * lpcore.FEASIBILITY_TOL * max(1.0, float(np.abs(b).max()))
+    assert np.all(A @ center + radius * norms <= b + tol)
+    highs = linprog(np.append(np.zeros(dim), -1.0), A_ub=np.column_stack([A, norms]), b_ub=b,
+                    bounds=[(None, None)] * dim + [(0.0, None)], method="highs")
+    assert highs.status == 0
+    assert radius >= 0.99 * highs.x[-1]
 
 
 def test_feasible_instances_never_reported_infeasible(np_rng):
@@ -98,9 +135,8 @@ def test_feasible_instances_never_reported_infeasible(np_rng):
         A = np_rng.normal(size=(m, n))
         x0 = np_rng.normal(size=n)
         slack = np_rng.uniform(0.0, 1.0, size=m)
-        rows = [(A[i], lpcore.LE, float(A[i] @ x0 + slack[i])) for i in range(m)]
-        out = lpcore.solve(lpcore.LinearProgram(np_rng.normal(size=n), rows))
-        assert out.status != lpcore.INFEASIBLE
+        status, _, _ = solve_inequalities(np_rng.normal(size=n), A, A @ x0 + slack)
+        assert status != lpcore.INFEASIBLE
 
 
 def test_vertex_oracle_equivalence(np_rng):
@@ -110,19 +146,6 @@ def test_vertex_oracle_equivalence(np_rng):
                                 RngSpec(900 + trial).generator())
         A, b = body.halfspaces
         c = np_rng.normal(size=2)
-        rows = [(A[i], lpcore.LE, b[i]) for i in range(A.shape[0])]
-        out = lpcore.solve(lpcore.LinearProgram(c, rows))
-        assert out.status == lpcore.OPTIMAL
-        assert out.objective_value == pytest.approx(
-            float(np.max(body.vertices @ c)), abs=1e-9)
-
-
-def test_ray_max_scales_with_body(np_rng):
-    body = random_vrep_body(3, 7, RngSpec(17).generator())
-    A, b = body.halfspaces
-    for _ in range(25):
-        d = np_rng.normal(size=3)
-        t1 = lpcore.ray_max(A, b, np.zeros(3), d)
-        s = float(np_rng.uniform(0.3, 4.0))
-        t2 = lpcore.ray_max(A, s * b, np.zeros(3), d)  # scaled body
-        assert t2 == pytest.approx(s * t1, rel=1e-9)
+        status, _, value = solve_inequalities(c, A, b)
+        assert status == lpcore.OPTIMAL
+        assert value == pytest.approx(float(np.max(body.vertices @ c)), abs=1e-9)

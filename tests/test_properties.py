@@ -301,6 +301,24 @@ def test_vectorised_philox_matches_numpy(seed, streams, k, dim):
     assert (lo + (hi - lo) * u).tobytes() == want.tobytes()
 
 
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(x: int) -> int:
+    z = (x + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return (z ^ (z >> 31)) & MASK64
+
+
+def scalar_child_stream(spec, *indices) -> int:
+    """The stream of ``spec.child(*indices)``, one Python-int fold per index."""
+    s = spec.stream & MASK64
+    for v in indices:
+        s = splitmix64(s ^ splitmix64((int(v) + 0x632BE59BD9B4E019) & MASK64))
+    return s
+
+
 @PROPERTY_SETTINGS
 @given(seeds_64, seeds_64, st.integers(-2 ** 70, 2 ** 70),
        st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=20))
@@ -308,10 +326,12 @@ def test_vectorised_child_matches_scalar(seed, stream, tag, indices):
     base = RngSpec(seed, stream)
     got = base.children(tag, np.array(indices, dtype=np.int64))
     assert got.seed == seed
-    assert got.streams.tolist() == [base.child(tag, i).stream for i in indices]
+    assert got.streams.tolist() == [scalar_child_stream(base, tag, i) for i in indices]
+    assert [base.child(tag, i) for i in indices] == [got[i] for i in range(len(indices))]
     unsigned = np.array(indices, dtype=np.int64).astype(np.uint64)
     assert base.children(unsigned, 7).streams.tolist() == \
-        [base.child(i, 7).stream for i in indices]
+        [scalar_child_stream(base, i, 7) for i in indices]
+    assert base.child() == RngSpec(seed, stream)
 
 
 @PROPERTY_SETTINGS
