@@ -18,14 +18,13 @@ import math
 import os
 import sys
 import time
-from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
 
 from . import __version__, fnsched, illum, lpcore, nets, randcover, randvol, runtime
 from .bodies import ConvexBody, MinkowskiCombo
-from .covercert import recheck_certificate
+from .covercert import encode_column, recheck_certificate
 from .fnsched import RatioSequence
 from .randcover import CoverExperimentConfig
 from .randvol import RngSpec
@@ -36,6 +35,7 @@ EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
 SCHEMA_VERSION = 1
+FN_SCHEDULE_SCHEMA_VERSION = 3  # columnar placements
 
 _NUMERIC_ERRORS = (
     lpcore.NumericFailure,
@@ -48,43 +48,21 @@ _NUMERIC_ERRORS = (
 )
 
 
-_FLOAT_SPELLINGS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_text(obj, pad: str = "\n") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=1)``, with numpy arrays and
-    scalars written as their ``tolist()`` / ``item()``; ``pad`` is the newline
-    and indent of the enclosing level.  Dict keys must be strings."""
-    if isinstance(obj, (float, np.floating)):
-        text = float.__repr__(float(obj))
-        return _FLOAT_SPELLINGS.get(text, text)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    inner = pad + " "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return "{" + inner + ("," + inner).join([
-            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
-            for k, v in sorted(obj.items())]) + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + pad + "]"
+def _plain(obj):
+    """``json.dumps`` hook: numpy arrays as ``tolist()``, numpy scalars as ``item()``."""
     if isinstance(obj, np.ndarray):
-        return _json_text(obj.tolist(), pad)
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return int.__repr__(int(obj))
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_dumps = functools.partial(json.dumps, sort_keys=True, indent=1, default=_plain)
 
 
 def _dump_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        fh.write(_json_text(payload) + "\n")
+        fh.write(_dumps(payload) + "\n")
 
 
 def _digest_file(path: str) -> str:
@@ -233,31 +211,46 @@ def _cmd_illuminate(args) -> list:
 
 
 def _cmd_fn_schedule(args) -> list:
+    """Schedule the ratios and write the result with ``"schemaVersion": 3``.
+
+    ``placements`` holds four columns (see ``covercert.encode_column``), one
+    row per placed piece: ``index`` (int32, the ratio's index), ``centers``
+    (count x n float64, row-major), ``ratios`` (float64) and ``phase``
+    (uint8, an index into ``phaseCodes``).  In ``plan``, each value of
+    ``classes`` and ``partitions``, and ``remainder`` and ``largeIndices``,
+    are int32 columns of ratio indices.
+    """
     body = _load_body(args.body, args.dim)
     ratios = _ratios_from_args(args)
     seq = RatioSequence(tuple(ratios), body.dim)
     cons = fnsched.schedule_covering(body, seq, RngSpec(args.seed), mode=args.mode,
                                   multiplier=args.scale, eps_final=args.epsilon)
+    pieces = cons.pieces
     payload = {
-        "schemaVersion": SCHEMA_VERSION,
+        "schemaVersion": FN_SCHEDULE_SCHEMA_VERSION,
         "body": body.to_spec(),
         "sumPow": seq.sum_pow,
         "status": cons.verdict.status,
         "info": cons.info,
         "perCube": cons.per_cube,
-        "placements": [
-            {"index": p.index, "center": p.center, "ratio": p.ratio, "phase": p.phase}
-            for p in cons.pieces
-        ],
+        "phaseCodes": list(fnsched.PHASE_CODES),
+        "placements": {
+            "index": encode_column([p.index for p in pieces], "<i4"),
+            "centers": encode_column([p.center for p in pieces], "<f8"),
+            "ratios": encode_column([p.ratio for p in pieces], "<f8"),
+            "phase": encode_column([fnsched.PHASE_CODES.index(p.phase) for p in pieces], "u1"),
+        },
     }
     if cons.plan is not None:
+        plan = cons.plan
         payload["plan"] = {
-            "classes": {str(k): v for k, v in cons.plan.classes.items()},
-            "budgets": {str(k): v for k, v in cons.plan.budgets.items()},
-            "partitions": {f"{k},{l}": v for (k, l), v in cons.plan.partitions.items()},
-            "remainder": cons.plan.remainder,
-            "largeIndices": cons.plan.large_indices,
-            "tilingCells": len(cons.plan.tiling_centers),
+            "classes": {str(k): encode_column(v, "<i4") for k, v in plan.classes.items()},
+            "budgets": {str(k): v for k, v in plan.budgets.items()},
+            "partitions": {f"{k},{l}": encode_column(v, "<i4")
+                           for (k, l), v in plan.partitions.items()},
+            "remainder": encode_column(plan.remainder, "<i4"),
+            "largeIndices": encode_column(plan.large_indices, "<i4"),
+            "tilingCells": len(plan.tiling_centers),
         }
     outputs = _emit(args, payload)
     if args.certificate:
@@ -309,7 +302,7 @@ def _emit(args, payload: dict) -> list:
     if args.out:
         _dump_json(args.out, payload)
         return [args.out]
-    sys.stdout.write(_json_text(payload) + "\n")
+    sys.stdout.write(_dumps(payload) + "\n")
     return []
 
 

@@ -11,10 +11,14 @@ needed to swallow one target gauge step inside the piece body.
 
 Certification and refutation share one coverage kernel, ``bodies.first_cover``
 (the assignment is each net point's first covering copy).  A certified
-certificate always embeds that assignment, as the base64 of the
-little-endian int32 array ``a`` (``a[j]`` is the copy covering net point
-``j``), and verification only replays it in one vectorised check; it never
-re-runs the search.
+certificate always embeds that assignment, and verification only replays
+it in one vectorised check; it never re-runs the search.
+
+Bulk payloads are columns: the base64 of a little-endian array
+(``encode_column`` / ``decode_column``).  A covering certificate (schema 3)
+holds ``centers`` (count x n float64, row-major), ``ratios`` (count
+float64) and, when certified, ``assignment`` (int32; ``a[j]`` is the copy
+covering net point ``j``).  Certificates of schema 1 and 2 fail replay.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ CERTIFIED = "certified"
 REFUTED = "refuted"
 UNKNOWN = "unknown"
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass(eq=False)
@@ -127,10 +131,35 @@ def _digest(arr: np.ndarray) -> str:
     return hashlib.sha256(data.tobytes()).hexdigest()
 
 
+def encode_column(array, dtype) -> str:
+    """The base64 (ASCII) of ``array`` as a little-endian ``dtype`` array,
+    flattened in row-major order."""
+    dt = np.dtype(dtype).newbyteorder("<")
+    return base64.b64encode(np.ascontiguousarray(array, dtype=dt).tobytes()).decode("ascii")
+
+
+def decode_column(text, dtype, count: Optional[int] = None) -> Optional[np.ndarray]:
+    """The flat array that ``encode_column(array, dtype)`` wrote, or None
+    unless ``text`` is a string of valid base64 holding exactly ``count``
+    values (any whole number of values when ``count`` is None)."""
+    if not isinstance(text, str):
+        return None
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or non-ASCII text
+        return None
+    dt = np.dtype(dtype).newbyteorder("<")
+    if len(raw) % dt.itemsize or (count is not None and len(raw) != count * dt.itemsize):
+        return None
+    return np.frombuffer(raw, dtype=dt)
+
+
 def verdict_to_dict(verdict: CoverageVerdict, body: ConvexBody,
                     placements: Sequence[HomothetPlacement],
                     pieces_body: Optional[ConvexBody] = None) -> dict:
-    centers = np.array([pl.center for pl in placements]).tolist()
+    """The verdict as a dict of plain JSON types (schema 3)."""
+    centers = np.array([pl.center for pl in placements], dtype=float)
+    ratios = np.array([pl.ratio for pl in placements], dtype=float)
     out = {
         "schemaVersion": SCHEMA_VERSION,
         "type": "covering",
@@ -138,9 +167,8 @@ def verdict_to_dict(verdict: CoverageVerdict, body: ConvexBody,
         "epsilon": verdict.epsilon,
         "shrink": verdict.shrink,
         "body": body.to_spec(),
-        "placements": [
-            {"center": c, "ratio": pl.ratio} for c, pl in zip(centers, placements)
-        ],
+        "centers": encode_column(centers, "<f8"),
+        "ratios": encode_column(ratios, "<f8"),
     }
     if pieces_body is not None and pieces_body is not body:
         out["piecesBody"] = pieces_body.to_spec()
@@ -156,53 +184,59 @@ def verdict_to_dict(verdict: CoverageVerdict, body: ConvexBody,
         }
     if verdict.assignment is not None:
         out["membershipTolerance"] = MEMBERSHIP_TOL
-        out["assignment"] = base64.b64encode(
-            np.ascontiguousarray(verdict.assignment, dtype="<i4").tobytes()).decode("ascii")
+        out["assignment"] = encode_column(verdict.assignment, "<i4")
     return out
 
 
 def _decode_assignment(text, size: int, copies: int) -> Optional[np.ndarray]:
-    """The embedded assignment as an int array, or None unless it is base64
-    text of exactly ``size`` little-endian int32 copy indices in [0, copies)."""
-    if not isinstance(text, str):
-        return None
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError:  # binascii.Error, or non-ASCII text
-        return None
-    if len(raw) != 4 * size:
-        return None
-    a = np.frombuffer(raw, dtype="<i4")
-    if a.min() < 0 or a.max() >= copies:
+    """The embedded assignment, or None unless it is a column of exactly
+    ``size`` int32 copy indices in [0, copies)."""
+    a = decode_column(text, "<i4", size)
+    if a is None or a.min() < 0 or a.max() >= copies:
         return None
     return a
+
+
+def _inside(body: ConvexBody, points: np.ndarray, centers: np.ndarray,
+            radii: np.ndarray) -> np.ndarray:
+    """Row by row (broadcast): does a point lie in center + radius * body,
+    closed, up to MEMBERSHIP_TOL per facet?"""
+    A, b = body.halfspaces
+    return np.all((points - centers) @ A.T <= radii[:, None] * b + MEMBERSHIP_TOL, axis=1)
 
 
 def recheck_certificate(cert: dict) -> bool:
     """Replay every membership claim of a serialized covering verdict.
 
-    Certified: rebuild the net deterministically and compare its digest and
-    the shrink, require the recorded membership tolerance to be
+    Decode the ``centers`` and ``ratios`` columns: ``centers`` must hold
+    exactly ``len(ratios) * dim`` finite values and every ratio must lie in
+    [0, 1].  Certified: rebuild the net deterministically and compare its
+    digest and the shrink, require the recorded membership tolerance to be
     ``MEMBERSHIP_TOL``, decode the embedded assignment (one copy index per
     net point) and check that each net point lies in its assigned shrunken
     homothet, all in one vectorised test.  The search is never re-run.
     Refuted: the witness must lie in the body and outside every unshrunken
-    homothet.
+    homothet.  Any schema other than ``SCHEMA_VERSION`` fails.
     """
-    if cert.get("type") != "covering":
+    if cert.get("type") != "covering" or cert.get("schemaVersion") != SCHEMA_VERSION:
         return False
     body = ConvexBody.from_spec(cert["body"])
     pieces = ConvexBody.from_spec(cert["piecesBody"]) if "piecesBody" in cert else body
-    placements = [
-        HomothetPlacement(np.array(p["center"]), p["ratio"]) for p in cert["placements"]
-    ]
+    ratios = decode_column(cert.get("ratios"), "<f8")
+    centers = None if ratios is None else \
+        decode_column(cert.get("centers"), "<f8", ratios.size * body.dim)
+    if centers is None or not np.isfinite(centers).all() or \
+            not np.all((ratios >= 0.0) & (ratios <= 1.0)):  # NaN fails too
+        return False
+    centers = centers.reshape(ratios.size, body.dim)
     status = cert["status"]
 
     if status == REFUTED:
         witness = np.array(cert["witness"])
         if not body.contains(witness, "closed"):
             return False
-        return not covered_by_union(pieces, placements, witness[None, :])[0]
+        live = ratios > 0.0  # a copy of ratio 0 covers nothing
+        return not _inside(pieces, witness, centers[live], ratios[live]).any()
 
     if status == CERTIFIED:
         epsilon = float(cert["epsilon"])
@@ -217,15 +251,12 @@ def recheck_certificate(cert: dict) -> bool:
             return False
         if cert.get("membershipTolerance") != MEMBERSHIP_TOL:
             return False
-        a = _decode_assignment(cert.get("assignment"), net.size, len(placements))
+        a = _decode_assignment(cert.get("assignment"), net.size, ratios.size)
         if a is None:
             return False
-        radii = np.array([pl.ratio for pl in placements])[a] - shrink
+        radii = ratios[a] - shrink
         if np.any(radii <= 0.0):
             return False
-        centers = np.array([pl.center for pl in placements])[a]
-        A, b = pieces.halfspaces
-        return bool(np.all((net.points - centers) @ A.T
-                           <= radii[:, None] * b + MEMBERSHIP_TOL))
+        return bool(_inside(pieces, net.points, centers[a], radii).all())
 
     return status == UNKNOWN

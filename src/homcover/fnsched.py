@@ -47,6 +47,7 @@ from .randvol import RngSpec
 PHASE_RANDOM = "random"
 PHASE_PATCH = "patch"
 PHASE_PROP1 = "prop1"
+PHASE_CODES = (PHASE_PROP1, PHASE_RANDOM, PHASE_PATCH)  # phase column codes
 
 MODE_DESK = "desk"
 MODE_PAPER = "paper"

@@ -17,6 +17,13 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _MAX_PIVOTS = 20_000
+# The Chebyshev primal's budget, per constraint row.  On 6,000 random vertex
+# bodies (n = 2..5, seeds s = 0..1499, k = n + 1 + s % 13 vertices, up to
+# 158 facets) every converging primal took at most 3.3 pivots per row (308 at
+# most in all); the one that stalled (n = 5, s = 556, 120 facets) ran out of
+# 20,000 pivots after 5.7 s on a 2-CPU x86 VM.  Three times the worst case
+# is spent before the dual takes over: 1,200 pivots, 0.5 s, on that body.
+_CHEBYSHEV_PIVOTS_PER_ROW = 10
 _PIVOT_TOL = 1e-10
 
 
@@ -60,8 +67,9 @@ def _simplex_phase(T: np.ndarray, basis: list, allowed: np.ndarray, budget: list
             raise NumericFailure("simplex pivot budget exhausted")
 
 
-def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """maximize c @ x subject to A @ x == b, x >= 0.  Returns (status, x)."""
+def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, max_pivots: int = _MAX_PIVOTS):
+    """maximize c @ x subject to A @ x == b, x >= 0.  Returns (status, x);
+    raises NumericFailure after ``max_pivots`` pivots."""
     m, n = A.shape
     A = A.copy()
     b = b.copy()
@@ -79,7 +87,7 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray):
         T[-1] -= T[r]
     basis = list(range(n, n + m))
     allowed = np.ones(n + m, dtype=bool)
-    budget = [_MAX_PIVOTS]
+    budget = [max_pivots]
     _simplex_phase(T, basis, allowed, budget)  # bounded below by 0, never unbounded
     if T[-1, -1] < -FEASIBILITY_TOL * max(1.0, np.abs(b).max(initial=1.0)):
         return INFEASIBLE, None
@@ -128,6 +136,29 @@ def solve(A, b, c):
     return status, x
 
 
+def _dual_ball(A: np.ndarray, b: np.ndarray, norms: np.ndarray, why: str):
+    """The Chebyshev ball from the dual LP, min b @ y subject to A^T y == 0,
+    |a|^T y >= 1, y >= 0.  It has n + 1 rows, so its few pivots stay
+    accurate; its support is the set of facets that the optimal ball
+    touches.  The center solves those facets' equations, and the radius is
+    its distance to the nearest facet, so the ball fits."""
+    m, n = A.shape
+    dual = np.zeros((n + 1, m + 1))
+    dual[:n, :m] = A.T
+    dual[n, :m] = norms
+    dual[n, m] = -1.0
+    status, y = _simplex(dual, np.eye(n + 1)[n], -np.append(b, 0.0))
+    if status != OPTIMAL:
+        raise NumericFailure(f"Chebyshev dual is {status} ({why})")
+    touching = y[:m] > 0.0
+    G = np.column_stack([A, norms])
+    center = np.linalg.lstsq(G[touching], b[touching], rcond=None)[0][:n]
+    radius = float(np.min((b - A @ center) / norms))
+    if not radius > 0.0:
+        raise NumericFailure(f"Chebyshev center is not interior (radius {radius:.3e})")
+    return center, radius
+
+
 def chebyshev_center(A, b):
     """Center and radius of the largest inscribed Euclidean ball of {A x <= b}
     (Boyd and Vandenberghe, Convex Optimization, section 8.5.1).
@@ -135,11 +166,11 @@ def chebyshev_center(A, b):
     The LP maximizes r subject to A x + r |a_i| <= b, in standard form over
     the columns x_1+, x_1-, ..., x_n+, x_n-, r and one slack per row.  Its
     ball is re-checked against those rows.  Where it overshoots a facet by
-    more than the residual bound, the center is taken from the facets the
-    dual LP says the ball touches, and the radius is that center's distance
-    to the nearest facet, so the ball fits.  Raises InradiusZero when the
-    polytope has (numerically) empty interior, ValueError when it is
-    unbounded, and NumericFailure when no interior center is found.
+    more than the residual bound, or where the primal runs out of its pivot
+    budget (``_CHEBYSHEV_PIVOTS_PER_ROW`` per row), the ball comes from the
+    dual LP instead (``_dual_ball``).  Raises InradiusZero when the polytope
+    has (numerically) empty interior, ValueError when it is unbounded, and
+    NumericFailure when no interior center is found.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -152,30 +183,20 @@ def chebyshev_center(A, b):
     A_std[:, 2 * n + 1:] = np.eye(m)
     cost = np.zeros(2 * n + 1 + m)
     cost[2 * n] = 1.0
-    status, z = _simplex(A_std, b, cost)
-    if status == INFEASIBLE:
-        raise InradiusZero("polytope is empty")
-    if status == UNBOUNDED:
-        raise ValueError("polytope is unbounded; Chebyshev center undefined")
-    center, radius = z[0:2 * n:2] - z[1:2 * n:2], float(z[2 * n])
-    G = np.column_stack([A, norms])
-    overshoot = max(float((G @ np.append(center, radius) - b).max(initial=0.0)), -radius)
-    if overshoot > _residual_bound(b):
-        # The dual, min b @ y subject to A^T y == 0, |a|^T y >= 1, y >= 0, has
-        # n + 1 rows, so its few pivots stay accurate; its support is the set
-        # of facets that the optimal ball touches.
-        dual = np.zeros((n + 1, m + 1))
-        dual[:n, :m] = A.T
-        dual[n, :m] = norms
-        dual[n, m] = -1.0
-        status, y = _simplex(dual, np.eye(n + 1)[n], -np.append(b, 0.0))
-        if status != OPTIMAL:
-            raise NumericFailure(f"Chebyshev dual is {status} (primal residual {overshoot:.3e})")
-        touching = y[:m] > 0.0
-        center = np.linalg.lstsq(G[touching], b[touching], rcond=None)[0][:n]
-        radius = float(np.min((b - A @ center) / norms))
-        if not radius > 0.0:
-            raise NumericFailure(f"Chebyshev center is not interior (radius {radius:.3e})")
+    try:
+        status, z = _simplex(A_std, b, cost, max_pivots=_CHEBYSHEV_PIVOTS_PER_ROW * m)
+    except NumericFailure as exc:
+        center, radius = _dual_ball(A, b, norms, f"primal: {exc}")
+    else:
+        if status == INFEASIBLE:
+            raise InradiusZero("polytope is empty")
+        if status == UNBOUNDED:
+            raise ValueError("polytope is unbounded; Chebyshev center undefined")
+        center, radius = z[0:2 * n:2] - z[1:2 * n:2], float(z[2 * n])
+        G = np.column_stack([A, norms])
+        overshoot = max(float((G @ np.append(center, radius) - b).max(initial=0.0)), -radius)
+        if overshoot > _residual_bound(b):
+            center, radius = _dual_ball(A, b, norms, f"primal residual {overshoot:.3e}")
     if radius <= FEASIBILITY_TOL * 10:
         raise InradiusZero(f"polytope interior is empty (radius {radius:.3e})")
     return center, radius

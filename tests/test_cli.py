@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from homcover import cli
+from homcover import cli, fnsched
 from homcover.bodies import ConvexBody, HomothetPlacement, random_vrep_body
 from homcover.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, dispatch
-from homcover.covercert import certify_cover, refute_cover, verdict_to_dict
+from homcover.covercert import (certify_cover, decode_column, encode_column, refute_cover,
+                                verdict_to_dict)
 from homcover.randvol import RngSpec
 
 
@@ -115,18 +116,62 @@ def test_verify_rejects_a_raised_membership_tolerance(tmp_path):
 @pytest.mark.parametrize("malform", [
     lambda cov, ref: [],
     lambda cov, ref: dict(cov, epsilon=None),
-    lambda cov, ref: dict(cov, placements=None),
+    lambda cov, ref: dict(cov, piecesBody=None),
     lambda cov, ref: dict(ref, witness=None),
     lambda cov, ref: dict(cov, body="cube"),
     lambda cov, ref: dict(cov, net=None),
     lambda cov, ref: {"schemaVersion": 1, "type": "illumination", "status": "unknown",
                       "body": {"kind": "cube", "dim": 2}, "sources": None},
-], ids=["top-level-list", "epsilon-null", "placements-null", "witness-null",
+], ids=["top-level-list", "epsilon-null", "pieces-body-null", "witness-null",
         "body-string", "net-null", "sources-null"])
 def test_malformed_certificates_exit_2(tmp_path, malform):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(malform(*_quadrant_certificates())))
     assert dispatch(["verify", "--certificate", str(path)]) == EXIT_INPUT
+
+
+def _ratios(cert):
+    return decode_column(cert["ratios"], "<f8").copy()
+
+
+def _set_ratio(j, value):
+    """A tamper that sets ratio j."""
+    def tamper(cert):
+        ratios = _ratios(cert)
+        ratios[j] = value
+        return dict(cert, ratios=encode_column(ratios, "<f8"))
+    return tamper
+
+
+def _schema_2(cert):
+    """The certificate in the schema-2 layout: a ``placements`` list of dicts."""
+    ratios = _ratios(cert)
+    centers = decode_column(cert["centers"], "<f8", 2 * ratios.size).reshape(-1, 2)
+    old = {k: v for k, v in cert.items() if k not in ("centers", "ratios")}
+    return dict(old, schemaVersion=2, placements=[
+        {"center": c, "ratio": r} for c, r in zip(centers.tolist(), ratios.tolist())])
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda cert: dict(cert, centers=encode_column(
+        decode_column(cert["centers"], "<f8")[:-1], "<f8")),
+    _set_ratio(0, np.nan),
+    _set_ratio(1, np.inf),
+    lambda cert: dict(cert, ratios=encode_column(np.append(_ratios(cert), 0.5), "<f8")),
+    lambda cert: dict(cert, centers=cert["centers"][:4] + "!" + cert["centers"][4:]),
+    lambda cert: dict(cert, centers=decode_column(cert["centers"], "<f8").tolist()),
+    _schema_2,
+], ids=["centers-one-value-short", "ratio-nan", "ratio-infinite", "ratios-longer-than-centers",
+        "centers-not-base64", "centers-json-list", "schema-2-layout"])
+@pytest.mark.parametrize("which", ["certified", "refuted"])
+def test_tampered_placement_columns_exit_4(tmp_path, tamper, which):
+    certified, refuted = _quadrant_certificates()
+    cert = certified if which == "certified" else refuted
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(cert))
+    bad.write_text(json.dumps(tamper(cert)))
+    assert dispatch(["verify", "--certificate", str(good)]) == EXIT_OK
+    assert dispatch(["verify", "--certificate", str(bad)]) == EXIT_VERIFY
 
 
 def test_verify_witness_certificate(tmp_path):
@@ -151,6 +196,28 @@ def test_fn_schedule_certificate_roundtrip(tmp_path):
     assert payload["status"] == "certified"
     assert payload["info"]["branch"] == "A"
     assert dispatch(["verify", "--certificate", str(cert)]) == EXIT_OK
+
+
+def test_fn_schedule_columns_decode_to_the_pieces(tmp_path):
+    flags = ["--lambda", "0.9", "--count", "300", "--seed", "9"]
+    out = tmp_path / "plan.json"
+    assert dispatch(["fn-schedule", "--body", "cube", "--dim", "2", *flags,
+                     "--out", str(out)]) == EXIT_OK
+    payload = read_json(out)
+    cons = fnsched.schedule_covering(ConvexBody.cube(2), fnsched.RatioSequence((0.9,) * 300, 2),
+                                     RngSpec(9))
+    count = len(cons.pieces)
+    columns = payload["placements"]
+    index = decode_column(columns["index"], "<i4", count)
+    centers = decode_column(columns["centers"], "<f8", 2 * count).reshape(count, 2)
+    ratios = decode_column(columns["ratios"], "<f8", count)
+    phase = decode_column(columns["phase"], "u1", count)
+    assert payload["schemaVersion"] == 3
+    assert payload["phaseCodes"] == ["prop1", "random", "patch"]
+    assert index.tolist() == [p.index for p in cons.pieces]
+    assert centers.tobytes() == np.array([p.center for p in cons.pieces]).tobytes()
+    assert ratios.tobytes() == np.array([p.ratio for p in cons.pieces]).tobytes()
+    assert [payload["phaseCodes"][c] for c in phase] == [p.phase for p in cons.pieces]
 
 
 def test_net_on_a_body_whose_simplex_is_inaccurate(tmp_path):
@@ -225,12 +292,12 @@ def test_body_json_file(tmp_path):
 # of each branch, pinned so that a change to these bytes is never silent
 PINNED_FN_SCHEDULE = [
     (["--lambda", "0.9", "--count", "300", "--seed", "9"],
-     "d243142b4904187b1fcc30b95da111edfcb7be118b7d7da46a6fc41bc2b6ca19",
-     "9fb4506d9404ac727938ccf061e66706b0f6f2c935cd846e3b2ddf65bb2dfa61"),
+     "557f1e59a8d9d21f60a6a5fcb41522d6e84fb2c825c270bd0688e9ac4b496ca8",
+     "1c60dcd1940e7b089811edda2a95ee9bea64ac0648b28305a7cf776951f3938b"),
     (["--lambda", "0.03", "--count", "13000", "--scale", "8", "--epsilon", "0.003",
       "--seed", "7"],
-     "7d693dd30b5fb77b3242c9e291dce361a2ac4d6b3e1a2cf4e469445456112a33",
-     "e279432bc220e9cc1acb6629c37edd1c67693756d196a1c2853b84f938a15309"),
+     "537c8dcf403fb32092c58c5726c8d14a2e660f6e4a101ce6776e5369bcdaabe4",
+     "48c0a6cf55520a1bfaf3e969def0c1278782d9a2851394e57c23648f63fb9565"),
 ]
 
 
@@ -242,6 +309,32 @@ def test_fn_schedule_bytes_are_pinned(tmp_path, flags, out_sha, cert_sha):
                      "--out", str(out), "--certificate", str(cert)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == out_sha
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == cert_sha
+
+
+# sha256 of the --out result of one small run of each other subcommand,
+# pinned so that the JSON writer cannot change their bytes silently
+PINNED_OUTPUTS = [
+    (["volume", "--body", "cube", "--dim", "2", "--samples", "2000", "--seed", "4"],
+     "6241b4aab5b8920f6d11eb1f9b4cbbe032008766e93fff476e57d3db7397715a"),
+    (["net", "--body", "cube", "--dim", "2", "--epsilon", "0.5"],
+     "67d9b30f0269bc3e2d84a08e1943ef51a11cd5b4a51e966a44012ed66a6c32f2"),
+    (["cover", "--body", "cube", "--dim", "2", "--lambda", "0.9", "--count", "15",
+      "--trials", "4", "--seed", "21", "--epsilon", "0.05", "--probes", "1000"],
+     "96b4f2aff3a7d79821a784cb17921cf2b8e42d2b32028a138cb9ffe332b5c422"),
+    (["illuminate", "--body", "cube", "--dim", "2", "--trials", "3", "--seed", "5",
+      "--probes", "500"],
+     "5112086c7e905d927e9141db557b86b66222a29def20eb7017a727b8d3284dac"),
+    (["bounds", "--body", "cube", "--dim", "3"],
+     "65469f848b144425d0624fa12b3407a38adfbf02d2789febdd17cab864712d04"),
+]
+
+
+@pytest.mark.parametrize("argv,out_sha", PINNED_OUTPUTS,
+                         ids=[argv[0] for argv, _ in PINNED_OUTPUTS])
+def test_output_bytes_are_pinned(tmp_path, argv, out_sha):
+    out = tmp_path / "out.json"
+    assert dispatch([*argv, "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_sha
 
 
 def test_parser_is_reused_without_leaking_arguments(tmp_path):

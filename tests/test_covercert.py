@@ -12,6 +12,8 @@ from homcover.covercert import (
     UNKNOWN,
     certify_cover,
     decide_cover,
+    decode_column,
+    encode_column,
     recheck_certificate,
     refute_cover,
     verdict_to_dict,
@@ -144,6 +146,13 @@ def _encoded(a):
     return base64.b64encode(np.asarray(a, dtype="<i4").tobytes()).decode("ascii")
 
 
+def _columns(cert):
+    """The decoded centres (one row per copy) and ratios, writable."""
+    ratios = decode_column(cert["ratios"], "<f8").copy()
+    centers = decode_column(cert["centers"], "<f8", ratios.size * cert["body"]["dim"])
+    return centers.reshape(ratios.size, -1).copy(), ratios
+
+
 def _edit(fn):
     """A tamper that edits the decoded assignment and re-encodes it."""
     return lambda cert: _encoded(fn(_decoded(cert), cert))
@@ -158,8 +167,9 @@ def _miss(cert, j):
     """Index of a quadrant copy whose shrunken copy misses net point j."""
     net = build_net(SQUARE, cert["epsilon"])
     y = net.points[j]
-    return next(i for i, p in enumerate(cert["placements"][:4])
-                if np.max(np.abs(y - p["center"])) > p["ratio"] - cert["shrink"])
+    centers, ratios = _columns(cert)
+    return next(i for i in range(4)
+                if np.max(np.abs(y - centers[i])) > ratios[i] - cert["shrink"])
 
 
 @pytest.mark.parametrize("tamper", [
@@ -181,6 +191,72 @@ def test_tampered_assignment_is_rejected(tamper):
     cert = verdict_to_dict(certify_cover(SQUARE, placements, 0.05), SQUARE, placements)
     assert recheck_certificate(cert)
     assert not recheck_certificate(dict(cert, assignment=tamper(cert)))
+
+
+def _set(column, j, value):
+    """A tamper that sets value j of a float64 column."""
+    def tamper(cert):
+        a = decode_column(cert[column], "<f8").copy()
+        a[j] = value
+        return dict(cert, **{column: encode_column(a, "<f8")})
+    return tamper
+
+
+def _schema_2(cert):
+    """The certificate in the schema-2 layout: a ``placements`` list of dicts."""
+    centers, ratios = _columns(cert)
+    old = {k: v for k, v in cert.items() if k not in ("centers", "ratios")}
+    return dict(old, schemaVersion=2, placements=[
+        {"center": c, "ratio": r} for c, r in zip(centers.tolist(), ratios.tolist())])
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda cert: dict(cert, centers=encode_column(_columns(cert)[0].ravel()[:-1], "<f8")),
+    _set("ratios", 0, np.nan),
+    _set("ratios", 1, np.inf),
+    _set("centers", 2, -np.inf),
+    _set("ratios", 0, 1.5),
+    lambda cert: dict(cert, ratios=encode_column(np.append(_columns(cert)[1], 0.5), "<f8")),
+    lambda cert: dict(cert, centers=cert["centers"][:4] + "!" + cert["centers"][4:]),
+    lambda cert: dict(cert, centers=_columns(cert)[0].tolist()),
+    lambda cert: dict(cert, ratios=None),
+    lambda cert: dict(cert, schemaVersion=2),
+    _schema_2,
+], ids=["centers-one-value-short", "ratio-nan", "ratio-infinite", "center-infinite",
+        "ratio-above-one", "ratios-longer-than-centers", "centers-not-base64",
+        "centers-json-list", "ratios-null", "schema-2-version", "schema-2-layout"])
+@pytest.mark.parametrize("status", [CERTIFIED, REFUTED])
+def test_tampered_columns_are_rejected(tamper, status):
+    placements = quadrant_placements(0.45, 0.6)
+    if status == CERTIFIED:
+        verdict = certify_cover(SQUARE, placements, 0.05)
+    else:
+        placements = placements[:3]
+        verdict = refute_cover(SQUARE, placements, RngSpec(5), 50_000)
+    cert = verdict_to_dict(verdict, SQUARE, placements)
+    assert verdict.status == status and recheck_certificate(cert)
+    assert not recheck_certificate(tamper(cert))
+
+
+def test_certificate_dict_holds_plain_json_types():
+    placements = quadrant_placements(0.45, 0.6)
+    certified = certify_cover(SQUARE, placements, 0.05)
+    refuted = refute_cover(SQUARE, placements[:3], RngSpec(5), 50_000)
+    plain = (dict, list, str, int, float, bool, type(None))
+
+    def walk(value):
+        assert type(value) in plain, type(value)
+        children = value.values() if isinstance(value, dict) else \
+            value if isinstance(value, list) else ()
+        for child in children:
+            walk(child)
+
+    for verdict, copies in ((certified, placements), (refuted, placements[:3])):
+        cert = verdict_to_dict(verdict, SQUARE, copies)
+        walk(cert)
+        centers, ratios = _columns(cert)
+        assert centers.tobytes() == np.array([pl.center for pl in copies]).tobytes()
+        assert ratios.tolist() == [pl.ratio for pl in copies]
 
 
 def test_large_certificate_is_replayed_without_search(monkeypatch):

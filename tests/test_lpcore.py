@@ -113,6 +113,7 @@ def test_chebyshev_bytes_are_pinned():
 @given(st.integers(2, 5), st.integers(0, 12), st.integers(0, 2 ** 32 - 1))
 @example(5, 6, 92)  # the simplex's ball overshoots a facet of this body
 @example(5, 7, 223)  # shrunk at the simplex's own centre, this ball is 5.6% short
+@example(5, 10, 556)  # the primal stalls: 20,000 pivots did not converge
 def test_chebyshev_ball_fits_and_is_near_optimal(dim, extra, seed):
     body = random_vrep_body(dim, dim + 1 + extra, np.random.default_rng(seed))
     A, b = body.halfspaces

@@ -4,7 +4,8 @@ against a dense membership matrix, thread-count and sampler batch-size
 invariance, the patch pass against a quadratic greedy, the vectorised Philox
 and multi-stream draws against numpy's generator and the one-stream sampler,
 the grouped grid against its one-slab form, the soundness of decided
-coverage verdicts, and the CLI's JSON writer against ``json.dumps``."""
+coverage verdicts, the CLI's JSON writer against ``json.dumps``, and the
+certificate column codec's round trip."""
 
 import itertools
 import json
@@ -21,8 +22,9 @@ from homcover import bodies, fnsched, nets, randvol, runtime
 from homcover.bodies import MEMBERSHIP_TOL, ConvexBody, HomothetPlacement, MinkowskiCombo, \
     bounding_box, combo_contains, combo_contains_lp, covered_by_union, first_cover, \
     random_vrep_body
-from homcover.cli import _json_text
-from homcover.covercert import CERTIFIED, REFUTED, certify_cover, decide_cover
+from homcover.cli import _dumps
+from homcover.covercert import CERTIFIED, REFUTED, certify_cover, decide_cover, \
+    decode_column, encode_column
 from homcover.fnsched import _random_phase_points, _separated_subset
 from homcover.nets import GRID_SLACK, NetTooLarge, build_net
 from homcover.randvol import RejectionTooSlow, RngSpec, RngStreams, _philox_random, \
@@ -414,7 +416,7 @@ def json_containers(children):
 @PROPERTY_SETTINGS
 @given(st.recursive(json_scalars, json_containers, max_leaves=40))
 def test_json_writer_matches_json_dumps(obj):
-    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=1)
+    assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=1)
 
 
 numpy_leaves = st.one_of(
@@ -438,4 +440,26 @@ def paired_containers(children):
                     max_leaves=20))
 def test_json_writer_converts_numpy_inline(pair):
     with_numpy, plain = pair
-    assert _json_text(with_numpy) == json.dumps(plain, sort_keys=True, indent=1)
+    assert _dumps(with_numpy) == json.dumps(plain, sort_keys=True, indent=1)
+
+
+column_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308]))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(column_floats, min_size=n, max_size=n),
+                         min_size=1, max_size=50))))
+@example((2, [[-0.0, 5e-324], [1e308, -1e308]]))
+def test_column_codec_round_trips_bit_for_bit(case):
+    n, rows = case
+    values = np.array(rows, dtype=float)
+    text = encode_column(values, "<f8")
+    decoded = decode_column(text, "<f8", len(rows) * n)
+    assert decoded.reshape(len(rows), n).tobytes() == values.tobytes()
+    assert decode_column(text, "<f8").tobytes() == values.tobytes()  # any whole count
+    assert decode_column(text, "<f8", len(rows) * n + 1) is None
+    ints = np.arange(len(rows) * n, dtype=np.int64) - 7
+    assert decode_column(encode_column(ints, "<i4"), "<i4", ints.size).tolist() == ints.tolist()
