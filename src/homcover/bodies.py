@@ -212,19 +212,6 @@ class ConvexBody:
             raise ValueError("direction must be nonzero")
         return float(np.max(self.vertices @ direction))
 
-    def gauge(self, points):
-        """Minkowski gauge ||x||_K = min{t >= 0 : x in t K}; needs interior origin."""
-        if not self.contains_origin_interior:
-            raise ValueError("gauge requires the origin in the interior")
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        A, b = self.halfspaces
-        g = np.max((pts @ A.T) / b, axis=1)
-        g = np.maximum(g, 0.0)
-        return float(g[0]) if single else g
-
     def dilated_contains(self, points, delta: float):
         """Membership in body + delta * [-1,1]^n (sup-norm dilation).
 
@@ -241,6 +228,7 @@ class ConvexBody:
         n, s = self.dim, self.scale
         if delta < 0:
             raise ValueError("delta must be nonnegative")
+        # closed forms stay: qhull hulls would import scipy.spatial and nearly triple set-up
         if self.kind == CUBE:
             ok = np.all(np.abs(pts) <= s + delta + MEMBERSHIP_TOL, axis=1)
         elif self.kind == CROSSPOLYTOPE:
@@ -276,13 +264,6 @@ class HomothetPlacement:
         object.__setattr__(self, "center", center)
         if not 0.0 <= self.ratio <= 1.0:
             raise ValueError(f"homothety ratio must be in [0, 1], got {self.ratio}")
-
-
-def homothet_contains(body: ConvexBody, center, ratio: float, points, tol: float = MEMBERSHIP_TOL):
-    """Vectorized membership in center + ratio * body (closed)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    A, b = body.halfspaces
-    return np.all((pts - np.asarray(center)) @ A.T <= ratio * b + tol, axis=1)
 
 
 def covered_by_union(body: ConvexBody, placements: Sequence[HomothetPlacement], points,
@@ -469,12 +450,13 @@ def combo_contains(combo: MinkowskiCombo, points):
     if pts.shape[1] != combo.dim:
         raise ValueError("point dimension mismatch")
     body, a, c = combo.body, combo.plus_coeff, combo.minus_coeff
+    # closed forms stay: qhull hulls would import scipy.spatial and nearly triple set-up
     if c == 0.0:
-        ok = homothet_contains(body, np.zeros(combo.dim), 1.0, pts / a)
+        ok = body.contains(pts / a)
     elif a == 0.0:
-        ok = homothet_contains(body, np.zeros(combo.dim), 1.0, -pts / c)
+        ok = body.contains(-pts / c)
     elif body.kind in _SYMMETRIC_KINDS:
-        ok = homothet_contains(body, np.zeros(combo.dim), 1.0, pts / (a + c))
+        ok = body.contains(pts / (a + c))
     elif body._simplex_frame is not None:
         v0, Minv = body._simplex_frame
         y = (pts - (a - c) * v0) @ Minv.T

@@ -376,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certificate", required=True)
     p.add_argument("--body", dest="body_file", default=None,
                    help="optional body JSON overriding the embedded one")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -131,11 +131,12 @@ def _class_of(lam: float, n: int) -> int:
 
 def dyadic_plan(seq: RatioSequence, n: int, *, body_volume: float,
                 tiling_centers: Sequence, tile_scale: float,
-                mode: str = MODE_DESK, multiplier: float = DESK_MULTIPLIER,
-                c_partition: int = 5, c_budget: int = 6) -> DyadicPlan:
+                mode: str = MODE_DESK, multiplier: float = DESK_MULTIPLIER) -> DyadicPlan:
     """Group small ratios into dyadic classes, cut classes into partitions
     meeting the per-cube volume threshold, and assign partitions to a
-    dyadic subdivision of the tiling cells.
+    dyadic subdivision of the tiling cells.  A class's partition budget
+    uses the 6n variant of the Rogers factor, the per-cube threshold the
+    5n variant.
 
     Ratios >= n^-5 are routed to the direct random phase; classes too thin
     to fill a single partition are parked in a remainder pool.
@@ -154,12 +155,12 @@ def dyadic_plan(seq: RatioSequence, n: int, *, body_volume: float,
         idx = classes[k]
         cube_vol = (2.0 * 2.0 ** (-k + 1) * tile_scale) ** n
         class_vol = sum(seq.ratios[i] ** n for i in idx) * body_volume
-        f_k = int(math.floor(class_vol / (rogers_factor(n, c_budget, mode, multiplier) * cube_vol)))
+        f_k = int(math.floor(class_vol / (rogers_factor(n, 6, mode, multiplier) * cube_vol)))
         budgets[k] = f_k
         if f_k == 0:
             remainder.extend(idx)
             continue
-        threshold = rogers_factor(n, c_partition, mode, multiplier) * cube_vol
+        threshold = rogers_factor(n, 5, mode, multiplier) * cube_vol
         kell[k] = threshold
         by_size = sorted(idx, key=lambda i: (-seq.ratios[i], i))
         bins = [[] for _ in range(f_k)]
@@ -338,7 +339,7 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
     tau = cover_factor(target_body, body)
     eps_cert = (delta_cert / 1.05) / tau
     c_k, r_k = body.chebyshev
-    h_cert = 2.0 * (eps_cert * side) / math.sqrt(n) * (1.0 - nets.GRID_SLACK)
+    h_cert = nets.grid_step(n, eps_cert * side)
     side_marked = side * (1.0 + eps_cert) + h_cert / 2.0 + 1e-9
 
     anchor = sigma_g * c_k
@@ -418,6 +419,12 @@ def _normalize_body(body: ConvexBody, n: int):
     return normalized, t, s, {"applied": True, "unitBoxInside": lower_ok}
 
 
+def _default_epsilon(ratios) -> float:
+    """The final net's epsilon when none is given: a tenth of the smallest
+    ratio, kept within [1e-4, 0.25]."""
+    return min(max(min(ratios) / 10.0, 1e-4), 0.25)
+
+
 def schedule_covering(body: ConvexBody, seq: RatioSequence, rng: RngSpec, *,
                    mode: str = MODE_DESK, multiplier: float = DESK_MULTIPLIER,
                    eps_final: Optional[float] = None) -> CoveringConstruction:
@@ -443,8 +450,7 @@ def schedule_covering(body: ConvexBody, seq: RatioSequence, rng: RngSpec, *,
 
     if branch_a:
         lams = [seq.ratios[i] for i in large]
-        eps = eps_final if eps_final is not None else \
-            min(max(min(lams) / 10.0, 1e-4), 0.25)
+        eps = eps_final if eps_final is not None else _default_epsilon(lams)
         combos = {lam: MinkowskiCombo(body, 1.0, lam) for lam in lams}
         centers = randvol.sample_first([combos[lam] for lam in lams],
                                        rng.children(_PIECE_TAG, np.array(large)))
@@ -464,12 +470,11 @@ def schedule_covering(body: ConvexBody, seq: RatioSequence, rng: RngSpec, *,
     small_pos = [r for r in seq.ratios if 0.0 < r < floor]
     if not small_pos:
         raise ValueError("branch B needs small ratios but none are present")
-    eps_f = eps_final if eps_final is not None else \
-        min(max(min(small_pos) / 10.0, 1e-4), 0.25)
+    eps_f = eps_final if eps_final is not None else _default_epsilon(small_pos)
 
     tile_scale = n ** -1.5
     c_f, r_f = normalized.chebyshev
-    h_f = 2.0 * eps_f * r_f / math.sqrt(n) * (1.0 - nets.GRID_SLACK)
+    h_f = nets.grid_step(n, eps_f * r_f)
     margin = h_f / 2.0 + eps_f * float(np.max(np.abs(normalized.vertices))) + 1e-9
     lo, hi = normalized.vertex_bbox
     step = 2.0 * tile_scale

@@ -1,11 +1,20 @@
 """Illumination of convex bodies by point light sources.
 
-A boundary point x is illuminated by an external point p when the line
-through p and x meets the interior of the body at a point not between p
-and x.  With the line parametrized as q(s) = p + s (x - p), that means
-some s > 1 or s < 0 with q(s) interior.  Interior is always tested with
-the strict margin from `bodies`, so grazing lines resolve to "not
-illuminated" (conservative).
+A point p outside K illuminates a boundary point x of K when the ray from p
+through x enters the interior of K right after x: x + t (x - p) is interior
+for every small enough t > 0.
+
+Facet rule.  For K = {A x <= b} (unit facet normals a_i), p illuminates x
+exactly when a_i . p > b_i for every facet i active at x (a_i . x = b_i).
+Proof: an inactive facet keeps its slack for a small step, and an active
+facet's value moves by t a_i . (x - p) = t (b_i - a_i . p), which must be
+negative.  A source set lights x when one of its sources does.
+
+Both tolerances err toward "not lit".  A facet counts as active when it lies
+within BOUNDARY_TOL of x, which only adds conditions; a source counts as
+beyond a facet only by more than INTERIOR_MARGIN, which only removes
+sources.  Both exceed the rounding of the products, so every point called
+lit is lit.
 
 Conversion from coverings: if homothets x_i + (1 - e) K cover K, the
 points R x_i illuminate K for any R > 1/e.  Centers whose scaled position
@@ -52,10 +61,16 @@ class LightSource:
         object.__setattr__(self, "position", pos)
 
 
+def _positions(body: ConvexBody, sources: Sequence[LightSource]) -> np.ndarray:
+    return np.array([src.position for src in sources], dtype=float).reshape(
+        len(sources), body.dim)
+
+
 def validate_sources(body: ConvexBody, sources: Sequence[LightSource]) -> None:
-    for src in sources:
-        if body.contains(src.position, "closed"):
-            raise ValueError(f"light source {src.position} lies inside the body")
+    positions = _positions(body, sources)
+    inside = body.contains(positions, "closed")
+    if inside.any():
+        raise ValueError(f"light source {positions[np.argmax(inside)]} lies inside the body")
 
 
 @dataclass(eq=False)
@@ -66,36 +81,19 @@ class IlluminationVerdict:
     probes_used: int = 0
 
 
-def _line_interior_window(body: ConvexBody, source: np.ndarray, pts: np.ndarray):
-    """Per point x, the open parameter window where p + s (x - p) is
-    strictly interior, as arrays (s_lo, s_hi, window_ok)."""
+def illuminated_mask(body: ConvexBody, sources: Sequence[LightSource], points) -> np.ndarray:
+    """For each boundary point, whether some source lights it (the facet rule)."""
     A, b = body.halfspaces
-    base = A @ source
-    coef = (pts - source) @ A.T  # (N, f)
-    bound = (b - INTERIOR_MARGIN - base)[None, :]
-    pos = coef > 1e-12
-    neg = coef < -1e-12
-    flat = ~pos & ~neg
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = bound / coef
-    s_hi = np.min(np.where(pos, ratio, np.inf), axis=1)
-    s_lo = np.max(np.where(neg, ratio, -np.inf), axis=1)
-    flat_ok = np.all(np.where(flat, bound >= 0.0, True), axis=1)
-    return s_lo, s_hi, flat_ok & (s_lo < s_hi - 1e-12)
-
-
-def illuminated_mask(body: ConvexBody, source: LightSource, pts) -> np.ndarray:
-    """Vectorized illumination test of boundary points against one source."""
-    from . import runtime
-
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    body.halfspaces
-
-    def mask(chunk):
-        s_lo, s_hi, ok = _line_interior_window(body, source.position, chunk)
-        return ok & ((s_hi > 1.0 + 1e-9) | (s_lo < -1e-9))
-
-    return runtime.chunked_mask(mask, pts)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    active = (pts @ A.T >= b - BOUNDARY_TOL).astype(float)  # (points, facets)
+    short = (_positions(body, sources) @ A.T <= b + INTERIOR_MARGIN).astype(float)
+    # active @ short.T counts, per point and source, the active facets the
+    # source is not beyond (sums of 0/1 are exact).  A point with one active
+    # facet needs only the facet's minimum over the sources.
+    lit = active @ short.min(axis=0, initial=1.0) == 0.0
+    rest = np.flatnonzero(lit & (active.sum(axis=1) != 1.0))
+    lit[rest] = np.any(active[rest] @ short.T == 0.0, axis=1)
+    return lit
 
 
 def illuminates(body: ConvexBody, source: LightSource, point) -> bool:
@@ -108,7 +106,7 @@ def illuminates(body: ConvexBody, source: LightSource, point) -> bool:
         raise ValueError("point is not on the boundary within tolerance")
     if body.contains(source.position, "closed"):
         raise ValueError("source must lie outside the body")
-    return bool(illuminated_mask(body, source, x[None, :])[0])
+    return bool(illuminated_mask(body, [source], x[None, :])[0])
 
 
 @dataclass(eq=False)
@@ -123,10 +121,9 @@ def covering_to_illumination(body: ConvexBody,
                              placements: Sequence[HomothetPlacement],
                              epsilon_cover: float,
                              verdict: Optional[CoverageVerdict] = None,
-                             net_epsilon: Optional[float] = None,
-                             r_margin: float = R_MARGIN) -> ConversionResult:
+                             net_epsilon: Optional[float] = None) -> ConversionResult:
     """Turn a certified covering by copies of ratio 1 - epsilon_cover into
-    light sources R * x_i with R = 1/epsilon_cover + r_margin."""
+    light sources R * x_i with R = 1/epsilon_cover + R_MARGIN."""
     if not 0.0 < epsilon_cover < 1.0:
         raise ValueError("epsilon_cover must be in (0, 1); R would be infinite at 0")
     lam = 1.0 - epsilon_cover
@@ -139,17 +136,13 @@ def covering_to_illumination(body: ConvexBody,
     if verdict.status != CERTIFIED:
         raise ConversionRequiresCertificate(
             f"covering verdict is {verdict.status!r}, not certified")
-    r_used = 1.0 / epsilon_cover + r_margin
-    sources = []
-    dropped = 0
-    for pl in placements:
-        pos = r_used * pl.center
-        if body.contains(pos, "closed"):
-            dropped += 1
-            continue
-        sources.append(LightSource(pos))
-    return ConversionResult(sources=sources, r_used=r_used, verdict=verdict,
-                            dropped_interior=dropped)
+    r_used = 1.0 / epsilon_cover + R_MARGIN
+    positions = r_used * np.array([pl.center for pl in placements], dtype=float).reshape(
+        len(placements), body.dim)
+    inside = body.contains(positions, "closed")
+    return ConversionResult(sources=[LightSource(pos) for pos in positions[~inside]],
+                            r_used=r_used, verdict=verdict,
+                            dropped_interior=int(np.count_nonzero(inside)))
 
 
 def verify_illumination(body: ConvexBody, sources: Sequence[LightSource],
@@ -179,16 +172,9 @@ def verify_illumination(body: ConvexBody, sources: Sequence[LightSource],
     coef = dirs @ A.T
     with np.errstate(divide="ignore"):
         t = np.min(np.where(coef > 1e-12, slack[None, :] / coef, np.inf), axis=1)
-    random_pts = anchor + t[:, None] * dirs
-    pts = np.vstack([body.vertices, random_pts])[:probes] if probes >= body.vertices.shape[0] \
-        else np.vstack([body.vertices, random_pts])
+    pts = np.vstack([body.vertices, anchor + t[:, None] * dirs])
 
-    lit = np.zeros(pts.shape[0], dtype=bool)
-    for src in sources:
-        idx = np.where(~lit)[0]
-        if idx.size == 0:
-            break
-        lit[idx] |= illuminated_mask(body, src, pts[idx])
+    lit = illuminated_mask(body, sources, pts)
     if not lit.all():
         first = int(np.argmax(~lit))
         return IlluminationVerdict(FALSIFIED, witness=pts[first], r_used=r_used,
@@ -230,7 +216,7 @@ def recheck_illumination_certificate(cert: dict) -> bool:
         A, b = body.halfspaces
         if abs(float(np.max(A @ witness - b))) > BOUNDARY_TOL:
             return False
-        return not any(illuminates(body, src, witness) for src in sources)
+        return not illuminated_mask(body, sources, witness[None, :])[0]
     return True
 
 

@@ -44,6 +44,11 @@ def default_epsilon(n: int) -> float:
     return max(a_n / (n * math.log(n)), EPSILON_FLOOR)
 
 
+def grid_step(dim: int, inradius: float) -> float:
+    """The grid spacing h with h sqrt(dim) / 2 = (1 - GRID_SLACK) * inradius."""
+    return 2.0 * inradius / math.sqrt(dim) * (1.0 - GRID_SLACK)
+
+
 def gauge_grid(dim: int, keep_fn: Callable, inradius: float, anchor: np.ndarray,
                bbox_lo: np.ndarray, bbox_hi: np.ndarray,
                max_points: int = MAX_NET_POINTS):
@@ -54,7 +59,7 @@ def gauge_grid(dim: int, keep_fn: Callable, inradius: float, anchor: np.ndarray,
     """
     if inradius <= 0:
         raise ValueError("gauge inradius must be positive")
-    h = 2.0 * inradius / math.sqrt(dim) * (1.0 - GRID_SLACK)
+    h = grid_step(dim, inradius)
     lo = bbox_lo - anchor - h / 2
     hi = bbox_hi - anchor + h / 2
     j_lo = np.ceil(lo / h - 1e-12).astype(int)

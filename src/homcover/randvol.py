@@ -243,24 +243,24 @@ def sample_uniform(combo: MinkowskiCombo, rng, count: int, batch: int = 8192) ->
             raise ValueError("many streams give one point each")
         # the shared core, not first_points itself, so that a trace of the
         # public functions counts these proposals as sample_uniform's
-        return _first_points(member, lo, hi, rng, _FIRST_PROPOSALS)
+        return _first_points(member, lo, hi, rng)
     return _sample(member, lo, hi, rng, count, batch)
 
 
-def first_points(member: Callable, lo, hi, specs: RngStreams,
-                 k: int = _FIRST_PROPOSALS) -> np.ndarray:
+def first_points(member: Callable, lo, hi, specs: RngStreams) -> np.ndarray:
     """Row i is the first proposal of stream ``specs[i]`` in the box [lo, hi]
     that ``member`` accepts, bit for bit the one-stream sampler's first point.
 
-    The first ``k`` proposals of every stream in a block come from the
-    vectorised Philox and are tested in one ``member`` call; a stream with no
-    hit among them is replayed by the one-stream sampler, whose stall rule
-    then applies.  Fewer than _VECTOR_MIN_STREAMS streams are drawn one at a
-    time."""
-    return _first_points(member, lo, hi, specs, k)
+    The first _FIRST_PROPOSALS proposals of every stream in a block come
+    from the vectorised Philox and are tested in one ``member`` call; a
+    stream with no hit among them is replayed by the one-stream sampler,
+    whose stall rule then applies.  Fewer than _VECTOR_MIN_STREAMS streams
+    are drawn one at a time."""
+    return _first_points(member, lo, hi, specs)
 
 
-def _first_points(member: Callable, lo, hi, specs: RngStreams, k: int) -> np.ndarray:
+def _first_points(member: Callable, lo, hi, specs: RngStreams) -> np.ndarray:
+    k = _FIRST_PROPOSALS
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     n = lo.shape[0]
     out = np.empty((len(specs), n))

@@ -106,6 +106,16 @@ def _quadrant_certificates():
     return certified, refuted
 
 
+def test_verify_takes_no_seed_or_out(tmp_path):
+    certified, _ = _quadrant_certificates()
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(certified))
+    assert dispatch(["verify", "--certificate", str(path)]) == EXIT_OK
+    for extra in (["--seed", "1"], ["--out", str(tmp_path / "verify.json")]):
+        assert dispatch(["verify", "--certificate", str(path), *extra]) == EXIT_INPUT
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cert.json"]
+
+
 def test_verify_rejects_a_raised_membership_tolerance(tmp_path):
     certified, _ = _quadrant_certificates()
     path = tmp_path / "cert.json"

@@ -2,16 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from homcover.bodies import ConvexBody, HomothetPlacement, MinkowskiCombo
+from homcover.bodies import INTERIOR_MARGIN, ConvexBody, HomothetPlacement, MinkowskiCombo
 from homcover.covercert import certify_cover
 from homcover.illum import (
+    BOUNDARY_TOL,
     FALSIFIED,
     UNKNOWN,
     VERIFIED_BY_COVERING,
     ConversionRequiresCertificate,
     LightSource,
-    _line_interior_window,
     covering_to_illumination,
     illuminated_mask,
     illuminates,
@@ -23,6 +24,7 @@ from homcover.illum import (
 )
 from homcover.randcover import CoverExperimentConfig, run_random_cover
 from homcover.randvol import RngSpec
+from test_properties import PROPERTY_SETTINGS, any_bodies
 
 SQUARE = ConvexBody.cube(2)
 
@@ -130,12 +132,36 @@ def test_illumination_certificate_roundtrip():
     assert not recheck_illumination_certificate(bad)
 
 
+def line_interior_window(body, source, pts, margin=INTERIOR_MARGIN):
+    """Per point x, the open parameter window where p + s (x - p) is
+    interior with the given margin, as arrays (s_lo, s_hi, ok)."""
+    A, b = body.halfspaces
+    p = source.position
+    coef = (pts - p) @ A.T  # (N, f)
+    bound = (b - margin - A @ p)[None, :]
+    pos = coef > 1e-12
+    neg = coef < -1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = bound / coef
+    s_hi = np.min(np.where(pos, ratio, np.inf), axis=1)
+    s_lo = np.max(np.where(neg, ratio, -np.inf), axis=1)
+    flat_ok = np.all(np.where(~pos & ~neg, bound >= 0.0, True), axis=1)
+    return s_lo, s_hi, flat_ok & (s_lo < s_hi - 1e-12)
+
+
+def window_lit(body, source, pts, margin=INTERIOR_MARGIN):
+    """Oracle: the line through the source and x is interior (with the
+    margin) at some parameter s > 1 or s < 0, never between the source and x."""
+    s_lo, s_hi, ok = line_interior_window(body, source, pts, margin)
+    return ok & ((s_hi > 1.0 + 1e-9) | (s_lo < -1e-9))
+
+
 def midpoint_illuminates(body, source, x):
     """Scalar oracle: a parameter from the admissible side of the interior
     window along the line through the source and x, re-checked to be
     strictly interior."""
     p = source.position
-    s_lo, s_hi, ok = _line_interior_window(body, p, x[None, :])
+    s_lo, s_hi, ok = line_interior_window(body, source, x[None, :])
     s_lo, s_hi = float(s_lo[0]), float(s_hi[0])
     if not ok[0]:
         return False
@@ -150,6 +176,71 @@ def test_illuminated_mask_matches_scalar(np_rng):
     src = LightSource(np.array([2.0, 0.7]))
     dirs = np_rng.normal(size=(200, 2))
     pts = dirs / np.abs(dirs).max(axis=1)[:, None]  # the square's boundary
-    mask = illuminated_mask(SQUARE, src, pts)
+    mask = illuminated_mask(SQUARE, [src], pts)
     oracle = np.array([midpoint_illuminates(SQUARE, src, p) for p in pts])
     assert np.array_equal(mask, oracle)
+
+
+def test_facet_rule_examples():
+    vertex = np.array([[1.0, 1.0]])
+    one_facet = LightSource(np.array([2.0, 0.5]))  # beyond x <= 1 only
+    assert not illuminated_mask(SQUARE, [one_facet], vertex)[0]
+    assert not window_lit(SQUARE, one_facet, vertex)[0]
+    on_top = LightSource(np.array([2.0, 1.0]))  # on the hyperplane y = 1
+    pts = np.array([[0.5, 1.0], [1.0, 0.5], [1.0, 1.0]])
+    assert illuminated_mask(SQUARE, [on_top], pts).tolist() == [False, True, False]
+    assert window_lit(SQUARE, on_top, pts).tolist() == [False, True, False]
+    assert illuminated_mask(SQUARE, [one_facet, on_top], pts).tolist() == [False, True, False]
+    assert illuminated_mask(SQUARE, [], pts).tolist() == [False, False, False]
+
+
+@PROPERTY_SETTINGS
+@given(any_bodies(), st.integers(0, 2 ** 32 - 1))
+def test_facet_rule_against_window_rule(body, seed):
+    """Against the window rule without a margin (the definition itself):
+    facet-lit implies window-lit, and the rules agree wherever one facet
+    alone lies within BOUNDARY_TOL of the point and the source lies farther
+    than BOUNDARY_TOL from every facet's hyperplane.  With INTERIOR_MARGIN
+    the window rule leaves unlit some points near a ridge that a grazing
+    source lights, so it is no oracle there."""
+    rng = np.random.default_rng(seed)
+    A, b = body.halfspaces
+    anchor, _ = body.chebyshev
+    dirs = rng.normal(size=(200, body.dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    coef = dirs @ A.T
+    with np.errstate(divide="ignore"):
+        t = np.min(np.where(coef > 1e-12, (b - A @ anchor) / coef, np.inf), axis=1)
+    pts = np.vstack([body.vertices, anchor + t[:, None] * dirs])
+    outer = np.linalg.norm(body.vertices - anchor, axis=1).max()
+    src_dirs = rng.normal(size=(4, body.dim))
+    src_dirs /= np.linalg.norm(src_dirs, axis=1)[:, None]
+    positions = anchor + outer * rng.uniform(1.1, 4.0, size=(4, 1)) * src_dirs
+    clear = np.sort(b - pts @ A.T, axis=1)[:, 1] > BOUNDARY_TOL
+    for pos in positions:
+        src = LightSource(pos)
+        facet = illuminated_mask(body, [src], pts)
+        window = window_lit(body, src, pts, margin=0.0)
+        assert not np.any(facet & ~window)
+        if np.min(np.abs(A @ pos - b)) > BOUNDARY_TOL:
+            assert np.array_equal(facet[clear], window[clear])
+
+
+def test_verify_illumination_verdicts_are_pinned():
+    """(status, probes_used, witness bytes) of the criterion-7 source sets and
+    the three-corner subsets of the square, as the ray-window predicate
+    decided them."""
+    cases = [(n, RngSpec(710 + n, drop), drop) for n in (2, 3) for drop in range(2 ** n)]
+    cases += [(2, RngSpec(6), drop) for drop in range(4)]
+    for n, rng, drop in cases:
+        sources = corner_sources(n)
+        verdict = verify_illumination(ConvexBody.cube(n), sources[:drop] + sources[drop + 1:],
+                                      rng, 100_000)
+        corner = np.array(list(itertools.product((-1.0, 1.0), repeat=n))[drop])
+        assert (verdict.status, verdict.probes_used, verdict.witness.tobytes()) == \
+            (FALSIFIED, drop + 1, corner.tobytes())
+    for n in (2, 3):
+        verdict = verify_illumination(ConvexBody.cube(n), corner_sources(n),
+                                      RngSpec(700 + n), 100_000)
+        assert (verdict.status, verdict.probes_used, verdict.witness) == \
+            (UNKNOWN, 100_000, None)

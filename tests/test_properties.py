@@ -342,8 +342,9 @@ def test_first_points_match_one_stream_sampler(body, a, c, seed, count, k):
     combos = [MinkowskiCombo(body, a, c), MinkowskiCombo(body, 1.0, c)]
     specs = RngSpec(seed).children(3, np.arange(count))
     want = np.array([sample_uniform(combos[0], specs[i], 1)[0] for i in range(count)])
-    got = first_points(lambda pts: combo_contains(combos[0], pts), *bounding_box(combos[0]),
-                       specs, k)
+    with mock.patch.object(randvol, "_FIRST_PROPOSALS", k):
+        got = first_points(lambda pts: combo_contains(combos[0], pts),
+                           *bounding_box(combos[0]), specs)
     assert got.tobytes() == want.tobytes()
     assert sample_uniform(combos[0], specs, 1).tobytes() == want.tobytes()
     with pytest.raises(ValueError):
