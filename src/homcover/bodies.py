@@ -1,13 +1,21 @@
 """Convex bodies in vertex representation, with derived facet data.
 
-Special kinds (cube = [-s,s]^n, simplex = conv{0, s*e_1, ..., s*e_n}
-recentered at its centroid, cross-polytope = conv{+-s*e_j}) carry
-closed-form facets and closed-form Minkowski-combination membership.
-General vertex bodies get qhull facets in every dimension; their
-combinations aK - cK and dilations K + dB_inf are hulls of vertex sums,
-tested by one ``A x <= b`` on a qhull H-rep cached on the body per
-coefficient pair.  ``first_cover`` is the one coverage kernel
-behind ``covered_by_union``, certification, refutation and net covering.
+Every membership predicate is one test, ``A x <= rhs`` in every row
+(``_inside``); the sets differ only in where (A, b) comes from:
+
+- K: ``ConvexBody.halfspaces``, closed-form facets for the special kinds
+  (cube = [-s,s]^n, simplex = conv{0, s*e_1, ..., s*e_n} recentered at its
+  centroid, cross-polytope = conv{+-s*e_j}), qhull facets for vertex bodies;
+- aK - cK: ``MinkowskiCombo.halfspaces``, (A, a b) when c = 0, (-A, c b) when
+  a = 0, (A, (a + c) b) for the origin-symmetric cube and cross-polytope, and
+  otherwise the qhull hull of the vertex differences V_i - (c/a) V_j, cached
+  on the body per ratio c/a, with b scaled by a;
+- K + delta B_inf: (A, b + delta) for the cube, and otherwise the qhull hull
+  of the vertices moved to the corners of delta [-1,1]^n, cached per delta.
+
+The cube never needs qhull, so cube runs do not import scipy.  ``first_cover``
+is the one coverage kernel behind ``covered_by_union``, certification,
+refutation and net covering.
 """
 
 from __future__ import annotations
@@ -50,6 +58,19 @@ def _hull_hrep(points: np.ndarray):
     A.setflags(write=False)
     b.setflags(write=False)
     return A, b
+
+
+def _inside(points, dim: int, A: np.ndarray, rhs):
+    """Whether ``A x <= rhs`` holds in every row: a bool for one point, a
+    mask for an (m, dim) array of points."""
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    if single:
+        pts = pts[None, :]
+    if pts.shape[1] != dim:
+        raise ValueError(f"point dimension {pts.shape[1]} != body dimension {dim}")
+    ok = np.all(pts @ A.T <= rhs, axis=1)
+    return bool(ok[0]) if single else ok
 
 
 class ConvexBody:
@@ -169,16 +190,6 @@ class ConvexBody:
     def vertex_bbox(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
-    @cached_property
-    def _simplex_frame(self):
-        """(v0, Minv) mapping x -> Minv @ (x - v0) into standard-simplex
-        coordinates; available for any body with exactly dim+1 vertices."""
-        if self.vertices.shape[0] != self.dim + 1:
-            return None
-        v0 = self.vertices[0]
-        M = (self.vertices[1:] - v0).T
-        return v0, np.linalg.inv(M)
-
     # --- predicates -----------------------------------------------------
 
     def contains(self, points, mode: str = "closed"):
@@ -187,65 +198,36 @@ class ConvexBody:
         closed: point in conv(vertices) up to tolerance.  strictInterior:
         a Euclidean ball of radius INTERIOR_MARGIN around the point fits.
         """
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        if pts.shape[1] != self.dim:
-            raise ValueError(f"point dimension {pts.shape[1]} != body dimension {self.dim}")
         A, b = self.halfspaces
         if mode == "closed":
-            slack = b + MEMBERSHIP_TOL
+            rhs = b + MEMBERSHIP_TOL
         elif mode == "strictInterior":
-            slack = b - INTERIOR_MARGIN
+            rhs = b - INTERIOR_MARGIN
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        ok = np.all(pts @ A.T <= slack, axis=1)
-        return bool(ok[0]) if single else ok
-
-    def support(self, direction) -> float:
-        """max over vertices of <v, direction>."""
-        direction = np.asarray(direction, dtype=float)
-        if direction.shape != (self.dim,):
-            raise ValueError("direction dimension mismatch")
-        if np.linalg.norm(direction) == 0.0:
-            raise ValueError("direction must be nonzero")
-        return float(np.max(self.vertices @ direction))
+        return _inside(points, self.dim, A, rhs)
 
     def dilated_contains(self, points, delta: float):
-        """Membership in body + delta * [-1,1]^n (sup-norm dilation).
+        """Membership in body + delta * [-1,1]^n (sup-norm dilation), as
+        ``A x <= b + MEMBERSHIP_TOL`` on the dilation's own facets.
 
-        Closed forms for the special kinds.  A vertex body's dilation is the
-        hull of its vertices moved to every corner of delta * [-1,1]^n; its
-        H-representation is built once per delta and cached on the body.
+        The cube's dilation is the cube with every b raised by delta.  Any
+        other body's is the hull of its vertices moved to every corner of
+        delta * [-1,1]^n; its H-representation is built once per delta and
+        cached on the body.
         """
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        if pts.shape[1] != self.dim:
-            raise ValueError("point dimension mismatch")
-        n, s = self.dim, self.scale
         if delta < 0:
             raise ValueError("delta must be nonnegative")
-        # closed forms stay: qhull hulls would import scipy.spatial and nearly triple set-up
-        if self.kind == CUBE:
-            ok = np.all(np.abs(pts) <= s + delta + MEMBERSHIP_TOL, axis=1)
-        elif self.kind == CROSSPOLYTOPE:
-            ok = np.sum(np.maximum(np.abs(pts) - delta, 0.0), axis=1) <= s + MEMBERSHIP_TOL
-        elif self.kind == SIMPLEX:
-            w = pts + s / (n + 1)
-            ok = (np.min(w, axis=1) >= -delta - MEMBERSHIP_TOL) & (
-                np.sum(np.maximum(w - delta, 0.0), axis=1) <= s + MEMBERSHIP_TOL
-            )
+        if self.kind == CUBE:  # no qhull, so cube runs do not import scipy
+            A, b = self.halfspaces
+            b = b + delta
         else:
             if delta not in self._hreps:
-                corners = np.array(list(itertools.product((-delta, delta), repeat=n)))
-                sums = (self.vertices[:, None, :] + corners[None, :, :]).reshape(-1, n)
+                corners = np.array(list(itertools.product((-delta, delta), repeat=self.dim)))
+                sums = (self.vertices[:, None, :] + corners[None, :, :]).reshape(-1, self.dim)
                 self._hreps[delta] = _hull_hrep(sums)
             A, b = self._hreps[delta]
-            ok = np.all(pts @ A.T <= b + MEMBERSHIP_TOL, axis=1)
-        return bool(ok[0]) if single else ok
+        return _inside(points, self.dim, A, b + MEMBERSHIP_TOL)
 
 
 # --- homothets ----------------------------------------------------------
@@ -411,17 +393,27 @@ class MinkowskiCombo:
 
     @property
     def halfspaces(self):
-        """(A, b) with unit rows: hull of {plus * v_i - minus * v_j}.  The body
-        caches it per ratio minus / plus, at plus = 1; b scales with plus."""
-        a, c = self.plus_coeff, self.minus_coeff
-        scale = a if a > 0 else c
-        key = (a / scale, c / scale)
-        if key not in self.body._hreps:
-            V = self.body.vertices
-            self.body._hreps[key] = _hull_hrep(
-                (key[0] * V[:, None, :] - key[1] * V[None, :, :]).reshape(-1, self.dim))
-        A, b = self.body._hreps[key]
-        return A, scale * b
+        """(A, b) with unit rows so that plus*K - minus*K = {x : A x <= b}.
+
+        From K's own facets when a coefficient is 0, or when K is the cube or
+        the cross-polytope, which are origin-symmetric, so aK - cK = (a + c)K.
+        Otherwise the hull of {V_i - (minus / plus) V_j}, which the body caches
+        per ratio minus / plus; b scales with plus."""
+        body, a, c = self.body, self.plus_coeff, self.minus_coeff
+        A, b = body.halfspaces
+        if c == 0.0:
+            return A, a * b
+        if a == 0.0:
+            return -A, c * b
+        if body.kind in _SYMMETRIC_KINDS:
+            return A, (a + c) * b
+        key = (1.0, c / a)
+        if key not in body._hreps:
+            V = body.vertices
+            body._hreps[key] = _hull_hrep(
+                (V[:, None, :] - key[1] * V[None, :, :]).reshape(-1, self.dim))
+        A, b = body._hreps[key]
+        return A, a * b
 
 
 def bounding_box(combo: MinkowskiCombo):
@@ -436,37 +428,14 @@ def bounding_box(combo: MinkowskiCombo):
 
 
 def combo_contains(combo: MinkowskiCombo, points):
-    """Membership in plus*K - minus*K.
+    """Membership in plus*K - minus*K, as ``A x <= b + MEMBERSHIP_TOL`` on
+    ``MinkowskiCombo.halfspaces``.
 
-    Closed forms: symmetric kinds reduce to a single scaled copy; simplex
-    kinds (including any (n+1)-vertex body) reduce to positive/negative
-    part sums in standard-simplex coordinates.  Everything else tests the
-    combination's cached H-representation (``MinkowskiCombo.halfspaces``).
+    The tolerance is absolute, on the combination's own facets, whatever the
+    coefficients.  (Testing K at x / plus would grant plus * MEMBERSHIP_TOL.)
     """
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.shape[1] != combo.dim:
-        raise ValueError("point dimension mismatch")
-    body, a, c = combo.body, combo.plus_coeff, combo.minus_coeff
-    # closed forms stay: qhull hulls would import scipy.spatial and nearly triple set-up
-    if c == 0.0:
-        ok = body.contains(pts / a)
-    elif a == 0.0:
-        ok = body.contains(-pts / c)
-    elif body.kind in _SYMMETRIC_KINDS:
-        ok = body.contains(pts / (a + c))
-    elif body._simplex_frame is not None:
-        v0, Minv = body._simplex_frame
-        y = (pts - (a - c) * v0) @ Minv.T
-        ok = (np.sum(np.maximum(y, 0.0), axis=1) <= a + MEMBERSHIP_TOL) & (
-            np.sum(np.maximum(-y, 0.0), axis=1) <= c + MEMBERSHIP_TOL
-        )
-    else:
-        A, b = combo.halfspaces
-        ok = np.all(pts @ A.T <= b + MEMBERSHIP_TOL, axis=1)
-    return bool(ok[0]) if single else ok
+    A, b = combo.halfspaces
+    return _inside(points, combo.dim, A, b + MEMBERSHIP_TOL)
 
 
 def combo_contains_lp(combo: MinkowskiCombo, point) -> bool:
@@ -493,15 +462,6 @@ def cover_factor(outer: ConvexBody, inner: ConvexBody) -> float:
     if np.any(b <= 0):
         raise ValueError("cover_factor requires the origin interior to the inner body")
     supports = np.max(outer.vertices @ A.T, axis=0)
-    return float(np.max(supports / b))
-
-
-def reflection_factor(body: ConvexBody) -> float:
-    """min{t : -K subset of t K}."""
-    A, b = body.halfspaces
-    if np.any(b <= 0):
-        raise ValueError("reflection_factor requires the origin in the interior")
-    supports = np.max((-body.vertices) @ A.T, axis=0)
     return float(np.max(supports / b))
 
 

@@ -306,15 +306,17 @@ def _emit(args, payload: dict) -> list:
     return []
 
 
-def _common_flags(p: argparse.ArgumentParser, body: bool = True) -> None:
-    if body:
-        p.add_argument("--body", required=True,
-                       help="cube | simplex | crosspolytope | path to body JSON")
-        p.add_argument("--dim", type=int, default=None)
+def _common_flags(p: argparse.ArgumentParser, threads: bool = False) -> None:
+    """--body, --dim, --seed and --out; --threads only where the command's
+    coverage tests reach the worker threads (``runtime.chunked_mask``)."""
+    p.add_argument("--body", required=True,
+                   help="cube | simplex | crosspolytope | path to body JSON")
+    p.add_argument("--dim", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for probe partitioning, at most the usable "
-                        "CPUs (default: HOMCOVER_THREADS, else all of them)")
+    if threads:
+        p.add_argument("--threads", type=int, default=None,
+                       help="worker threads for probe partitioning, at most the usable "
+                            "CPUs (default: HOMCOVER_THREADS, else all of them)")
     p.add_argument("--out", default=None, help="write the JSON result here")
 
 
@@ -337,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_net)
 
     p = sub.add_parser("cover", help="random-cover experiment")
-    _common_flags(p)
+    _common_flags(p, threads=True)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--ratios", default=None, help="JSON file with a ratio list")
@@ -348,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("illuminate", help="covering-to-illumination pipeline")
-    _common_flags(p)
+    _common_flags(p, threads=True)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--probes", type=int, default=10_000)
@@ -356,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_illuminate)
 
     p = sub.add_parser("fn-schedule", help="dyadic scheduling of a ratio sequence")
-    _common_flags(p)
+    _common_flags(p, threads=True)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--ratios", default=None)

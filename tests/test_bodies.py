@@ -12,7 +12,6 @@ from homcover.bodies import (
     cover_factor,
     cube_inclusion_factor,
     random_vrep_body,
-    reflection_factor,
 )
 from homcover.randvol import RngSpec
 
@@ -38,14 +37,6 @@ def test_strict_interior_implies_closed(np_rng):
     strict = body.contains(pts, "strictInterior")
     closed = body.contains(pts, "closed")
     assert np.all(closed[strict])
-
-
-def test_support_examples():
-    assert ConvexBody.cube(4).support(np.eye(4)[0]) == pytest.approx(1.0)
-    assert ConvexBody.cube(2).support([1.0, 1.0]) == pytest.approx(2.0)
-    assert TRIANGLE.support([1.0, 1.0]) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        TRIANGLE.support([0.0, 0.0])
 
 
 def test_degenerate_vertices_rejected():
@@ -165,9 +156,6 @@ def test_cover_and_reflection_factors():
     cube = ConvexBody.cube(2)
     big = ConvexBody.cube(2, scale=3.0)
     assert cover_factor(big, cube) == pytest.approx(3.0)
-    assert reflection_factor(cube) == pytest.approx(1.0)
-    simplex = ConvexBody.simplex(2)
-    assert reflection_factor(simplex) == pytest.approx(2.0, rel=1e-6)
     assert cube_inclusion_factor(cube) == pytest.approx(1.0)
 
 

@@ -1,10 +1,16 @@
 import base64
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import homcover
 from homcover import cli, fnsched
 from homcover.bodies import ConvexBody, HomothetPlacement, random_vrep_body
 from homcover.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, dispatch
@@ -253,7 +259,11 @@ def test_input_errors_exit_2(tmp_path):
     assert dispatch(["volume", "--body", "nosuchfile.json", "--dim", "2"]) == EXIT_INPUT
     assert dispatch(["bounds", "--body", "cube"]) == EXIT_INPUT  # missing --dim
     assert dispatch(["nonsense"]) == EXIT_INPUT
-    assert dispatch(["bounds", "--dim", "2", "--body", "cube", "--threads", "-1"]) == EXIT_INPUT
+    assert dispatch(["cover", "--dim", "2", "--body", "cube", "--lambda", "0.5", "--count", "9",
+                     "--threads", "-1"]) == EXIT_INPUT
+    # --threads only on the commands whose coverage tests use worker threads
+    for command in ("volume", "net", "bounds"):
+        assert dispatch([command, "--dim", "2", "--body", "cube", "--threads", "1"]) == EXIT_INPUT
 
 
 def test_ratio_file_is_read(tmp_path):
@@ -366,3 +376,37 @@ def test_parser_is_reused_without_leaking_arguments(tmp_path):
     assert dispatch(["bounds", "--help"]) == EXIT_OK
     assert dispatch(["bounds", "--dim", "two"]) == EXIT_INPUT
     assert cli._parser() is cli._parser()
+
+
+def test_cube_commands_import_no_scipy(tmp_path):
+    """The cube's facets, combinations and dilations are closed forms, so its
+    commands build no qhull hull and import no scipy module.  Checked in a
+    fresh interpreter, because this test session has imported scipy."""
+    script = textwrap.dedent("""
+        import json, os, sys
+        from homcover.cli import dispatch
+
+        out = lambda name: os.path.join(sys.argv[1], name)
+        cube = ["--body", "cube", "--dim", "2"]
+        runs = [
+            ["illuminate", *cube, "--trials", "2", "--seed", "5", "--probes", "500",
+             "--out", out("illum.json")],
+            ["cover", *cube, "--lambda", "0.9", "--count", "15", "--trials", "2",
+             "--seed", "21", "--epsilon", "0.05", "--probes", "1000", "--out", out("cover.json")],
+            ["net", *cube, "--epsilon", "0.5", "--out", out("net.json")],
+            ["fn-schedule", *cube, "--lambda", "0.9", "--count", "300", "--seed", "9",
+             "--out", out("plan.json"), "--certificate", out("cert.json")],
+            ["verify", "--certificate", out("cert.json")],
+        ]
+        codes = [dispatch(argv) for argv in runs]
+        print(json.dumps({"codes": codes,
+                          "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+    """)
+    src = str(Path(homcover.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
@@ -52,6 +52,7 @@ def any_bodies(draw):
 
 
 coefficients = st.floats(0.05, 2.0)
+coefficients_or_zero = st.one_of(st.just(0.0), coefficients)
 seeds = st.integers(0, 2 ** 32 - 1)
 seeds_64 = st.integers(0, 2 ** 64 - 1)
 
@@ -93,20 +94,20 @@ def dilation_lp(body, x, delta) -> bool:
 
 
 @PROPERTY_SETTINGS
-@given(vrep_bodies(), coefficients, coefficients)
-def test_combo_hrep_matches_lp_oracle(body_seed, a, c):
-    body, seed = body_seed
+@given(any_bodies(), coefficients_or_zero, coefficients_or_zero, seeds)
+def test_combo_hrep_matches_lp_oracle(body, a, c, seed):
+    assume(a + c > 0)
     combo = MinkowskiCombo(body, a, c)
     lo, hi = bounding_box(combo)
-    pts = np.random.default_rng(seed).uniform(lo, hi, size=(40, body.dim))
+    pad = 0.1 * (hi - lo)  # for the cube the box is the combination itself
+    pts = np.random.default_rng(seed).uniform(lo - pad, hi + pad, size=(40, body.dim))
     oracle = [combo_contains_lp(combo, p) for p in pts]
     assert combo_contains(combo, pts).tolist() == oracle
 
 
 @PROPERTY_SETTINGS
-@given(vrep_bodies(), st.floats(0.0, 1.0))
-def test_dilated_contains_matches_lp_oracle(body_seed, delta):
-    body, seed = body_seed
+@given(any_bodies(), st.floats(0.0, 1.0), seeds)
+def test_dilated_contains_matches_lp_oracle(body, delta, seed):
     lo, hi = body.vertex_bbox
     pts = np.random.default_rng(seed).uniform(lo - delta - 0.3, hi + delta + 0.3,
                                               size=(40, body.dim))
