@@ -7,7 +7,7 @@ homothety budgets, over a small dense-LP geometric core.
 
 __version__ = "0.1.0"
 
-from .bodies import ConvexBody, HomothetPlacement, MinkowskiCombo
+from .bodies import ConvexBody, HomothetPlacement, Homothets, MinkowskiCombo
 from .covercert import CoverageVerdict, certify_cover, decide_cover, refute_cover
 from .fnsched import RatioSequence, cover_cube_two_phase, dyadic_plan, schedule_covering
 from .illum import LightSource, covering_to_illumination, illuminates, run_illumination_pipeline, verify_illumination
@@ -16,7 +16,7 @@ from .randcover import CoverExperimentConfig, reference_bounds, run_random_cover
 from .randvol import RngSpec, VolumeEstimate, exact_volume, mc_volume, sample_uniform
 
 __all__ = [
-    "ConvexBody", "HomothetPlacement", "MinkowskiCombo",
+    "ConvexBody", "HomothetPlacement", "Homothets", "MinkowskiCombo",
     "CoverageVerdict", "certify_cover", "decide_cover", "refute_cover",
     "RatioSequence", "cover_cube_two_phase", "dyadic_plan", "schedule_covering",
     "LightSource", "covering_to_illumination", "illuminates",

@@ -248,8 +248,38 @@ class HomothetPlacement:
             raise ValueError(f"homothety ratio must be in [0, 1], got {self.ratio}")
 
 
-def covered_by_union(body: ConvexBody, placements: Sequence[HomothetPlacement], points,
-                     shrink: float = 0.0):
+@dataclass(frozen=True, eq=False)
+class Homothets:
+    """A family of copies centers[i] + ratios[i] * K as two columns,
+    ``centers`` (count x n) and ``ratios`` (count): read-only views, so the
+    arrays passed in stay writable."""
+
+    centers: np.ndarray
+    ratios: np.ndarray
+
+    def __post_init__(self):
+        centers = np.asarray(self.centers, dtype=float).view()
+        ratios = np.asarray(self.ratios, dtype=float).view()
+        if centers.ndim != 2 or centers.shape[:1] != ratios.shape or \
+                not np.all((ratios >= 0.0) & (ratios <= 1.0)):  # NaN fails too
+            raise ValueError("need (count, n) centers and count ratios, each in [0, 1]")
+        for name, column in (("centers", centers), ("ratios", ratios)):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def of(cls, placements: Homothets | Sequence[HomothetPlacement]) -> Homothets:
+        """``placements`` itself if a ``Homothets``, else stacked into one (an
+        empty one has n = 0): the one place copies become columns."""
+        if isinstance(placements, cls):
+            return placements
+        centers = [pl.center for pl in placements]
+        return cls(np.array(centers, dtype=float) if centers else np.empty((0, 0)),
+                   [pl.ratio for pl in placements])
+
+
+def covered_by_union(body: ConvexBody, placements: Homothets | Sequence[HomothetPlacement],
+                     points, shrink: float = 0.0):
     """Boolean mask: which points lie in the union of (possibly shrunken)
     homothets of ``body``; ``first_cover(...) >= 0``.
 
@@ -257,13 +287,14 @@ def covered_by_union(body: ConvexBody, placements: Sequence[HomothetPlacement], 
     are chunked across the configured worker threads.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    family = Homothets.of(placements)  # once, not per worker chunk
     body.halfspaces  # populate the cache before any thread fan-out
     return runtime.chunked_mask(
-        lambda chunk: first_cover(body, placements, chunk, shrink) >= 0, pts)
+        lambda chunk: first_cover(body, family, chunk, shrink) >= 0, pts)
 
 
-def first_cover(body: ConvexBody, placements: Sequence[HomothetPlacement], points,
-                shrink: float = 0.0) -> np.ndarray:
+def first_cover(body: ConvexBody, placements: Homothets | Sequence[HomothetPlacement],
+                points, shrink: float = 0.0) -> np.ndarray:
     """For each point, the index of the first placement whose shrunken copy
     center + (ratio - shrink) * body contains it (closed, up to
     MEMBERSHIP_TOL per facet), or -1; copies with ratio - shrink <= 0 cover
@@ -277,12 +308,13 @@ def first_cover(body: ConvexBody, placements: Sequence[HomothetPlacement], point
     pts_t = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)).T)
     n, m = pts_t.shape
     first = np.full(m, -1, dtype=np.int64)
-    radii = np.array([pl.ratio for pl in placements], dtype=float) - shrink
+    family = Homothets.of(placements)
+    radii = family.ratios - shrink
     ids = np.flatnonzero(radii > 0.0)
     if m == 0 or ids.size == 0:
         return first
     A, b = body.halfspaces
-    centers = np.array([placements[i].center for i in ids], dtype=float)
+    centers = family.centers[ids]
     budget = max(1, _PAIR_BLOCK // b.size)
     if m * ids.size <= budget:
         offsets = (pts_t[:, :, None] - centers.T[:, None, :]).reshape(n, -1)
@@ -418,13 +450,9 @@ class MinkowskiCombo:
 
 def bounding_box(combo: MinkowskiCombo):
     """Tight axis-aligned box of a K-combination, from per-axis supports."""
-    body, a, c = combo.body, combo.plus_coeff, combo.minus_coeff
-    V = body.vertices
-    hi_body = V.max(axis=0)
-    lo_body = V.min(axis=0)
-    hi = a * hi_body + c * (-lo_body)
-    lo = a * lo_body - c * hi_body
-    return lo, hi
+    a, c = combo.plus_coeff, combo.minus_coeff
+    lo, hi = combo.body.vertex_bbox
+    return a * lo - c * hi, a * hi + c * (-lo)
 
 
 def combo_contains(combo: MinkowskiCombo, points):

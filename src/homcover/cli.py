@@ -65,6 +65,15 @@ def _dump_json(path: str, payload: dict) -> None:
         fh.write(_dumps(payload) + "\n")
 
 
+def _write_rows(path: str, header: list, rows) -> None:
+    """Rows as CSV under ``header``: a list field as JSON, None as an empty one."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([json.dumps(v) if isinstance(v, list) else v for v in row]
+                         for row in rows)
+
+
 def _digest_file(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -174,11 +183,7 @@ def _cmd_cover(args) -> list:
     }
     outputs = _emit(args, payload)
     if args.rows:
-        with open(args.rows, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trialId", "verdict", "witness"])
-            for t, status, witness in report.rows:
-                writer.writerow([t, status, "" if witness is None else json.dumps(witness)])
+        _write_rows(args.rows, ["trialId", "verdict", "witness"], report.rows)
         outputs.append(args.rows)
     return outputs
 
@@ -201,11 +206,8 @@ def _cmd_illuminate(args) -> list:
     }
     outputs = _emit(args, payload)
     if args.rows:
-        with open(args.rows, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trialId", "coveringVerdict", "illuminationVerdict"])
-            for t, covering, lighting in report.rows:
-                writer.writerow([t, covering, "" if lighting is None else lighting])
+        _write_rows(args.rows, ["trialId", "coveringVerdict", "illuminationVerdict"],
+                    report.rows)
         outputs.append(args.rows)
     return outputs
 
@@ -225,7 +227,6 @@ def _cmd_fn_schedule(args) -> list:
     seq = RatioSequence(tuple(ratios), body.dim)
     cons = fnsched.schedule_covering(body, seq, RngSpec(args.seed), mode=args.mode,
                                   multiplier=args.scale, eps_final=args.epsilon)
-    pieces = cons.pieces
     payload = {
         "schemaVersion": FN_SCHEDULE_SCHEMA_VERSION,
         "body": body.to_spec(),
@@ -235,10 +236,10 @@ def _cmd_fn_schedule(args) -> list:
         "perCube": cons.per_cube,
         "phaseCodes": list(fnsched.PHASE_CODES),
         "placements": {
-            "index": encode_column([p.index for p in pieces], "<i4"),
-            "centers": encode_column([p.center for p in pieces], "<f8"),
-            "ratios": encode_column([p.ratio for p in pieces], "<f8"),
-            "phase": encode_column([fnsched.PHASE_CODES.index(p.phase) for p in pieces], "u1"),
+            "index": encode_column(cons.index, "<i4"),
+            "centers": encode_column(cons.placements.centers, "<f8"),
+            "ratios": encode_column(cons.placements.ratios, "<f8"),
+            "phase": encode_column(cons.phase, "u1"),
         },
     }
     if cons.plan is not None:

@@ -35,6 +35,7 @@ from .bodies import (
     MEMBERSHIP_TOL,
     ConvexBody,
     HomothetPlacement,
+    Homothets,
     cover_factor,
     covered_by_union,
     first_cover,
@@ -60,7 +61,7 @@ class CoverageVerdict:
     probes_used: int = 0
 
 
-def certify_cover(body: ConvexBody, placements: Sequence[HomothetPlacement],
+def certify_cover(body: ConvexBody, placements: Homothets | Sequence[HomothetPlacement],
                   epsilon: float, net: Optional[EpsNet] = None,
                   pieces_body: Optional[ConvexBody] = None) -> CoverageVerdict:
     """Certified/Unknown verdict via net shrinkage (never Refuted).
@@ -68,7 +69,8 @@ def certify_cover(body: ConvexBody, placements: Sequence[HomothetPlacement],
     A prebuilt net for the same body and epsilon may be passed to amortize
     construction across many placement draws.
     """
-    if not placements:
+    family = Homothets.of(placements)  # once, not per worker chunk
+    if not family.ratios.size:
         raise ValueError("placements must be nonempty")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must be in (0, 1]")
@@ -81,23 +83,21 @@ def certify_cover(body: ConvexBody, placements: Sequence[HomothetPlacement],
 
     pieces.halfspaces  # populate the cache before any thread fan-out
     assignment = runtime.chunked_mask(
-        lambda chunk: first_cover(pieces, placements, chunk, shrink), net.points)
+        lambda chunk: first_cover(pieces, family, chunk, shrink), net.points)
     if assignment.min() >= 0:
         return CoverageVerdict(CERTIFIED, epsilon, shrink=shrink,
                                assignment=assignment, net=net)
     return CoverageVerdict(UNKNOWN, epsilon, shrink=shrink, net=net)
 
 
-def refute_cover(body: ConvexBody, placements: Sequence[HomothetPlacement],
-                 rng: RngSpec, probes: int,
-                 pieces_body: Optional[ConvexBody] = None) -> CoverageVerdict:
+def refute_cover(body: ConvexBody, placements: Homothets | Sequence[HomothetPlacement],
+                 rng: RngSpec, probes: int) -> CoverageVerdict:
     """Sample uniform points of the target; the first one outside every
     (closed, unshrunken) homothet refutes coverage."""
     if probes < 1:
         raise ValueError("probes must be positive")
-    pieces = pieces_body if pieces_body is not None else body
     pts = sample_uniform_body(body, rng, probes)
-    covered = covered_by_union(pieces, placements, pts)
+    covered = covered_by_union(body, placements, pts)
     if not covered.all():
         first = int(np.argmax(~covered))
         # a copy: a row view would keep the whole probe array alive with the verdict
@@ -106,16 +106,16 @@ def refute_cover(body: ConvexBody, placements: Sequence[HomothetPlacement],
     return CoverageVerdict(UNKNOWN, epsilon=0.0, probes_used=probes)
 
 
-def decide_cover(body: ConvexBody, placements: Sequence[HomothetPlacement],
+def decide_cover(body: ConvexBody, placements: Homothets | Sequence[HomothetPlacement],
                  epsilon: float, rng: RngSpec, probes: int,
-                 net: Optional[EpsNet] = None,
-                 pieces_body: Optional[ConvexBody] = None) -> CoverageVerdict:
+                 net: Optional[EpsNet] = None) -> CoverageVerdict:
     """Certify first; on Unknown try to refute; otherwise stay Unknown.
     By construction the two decisive statuses are mutually exclusive."""
-    verdict = certify_cover(body, placements, epsilon, net=net, pieces_body=pieces_body)
+    family = Homothets.of(placements)
+    verdict = certify_cover(body, family, epsilon, net=net)
     if verdict.status == CERTIFIED:
         return verdict
-    refutation = refute_cover(body, placements, rng, probes, pieces_body=pieces_body)
+    refutation = refute_cover(body, family, rng, probes)
     if refutation.status == REFUTED:
         refutation.epsilon = epsilon
         return refutation
@@ -155,11 +155,10 @@ def decode_column(text, dtype, count: Optional[int] = None) -> Optional[np.ndarr
 
 
 def verdict_to_dict(verdict: CoverageVerdict, body: ConvexBody,
-                    placements: Sequence[HomothetPlacement],
+                    placements: Homothets | Sequence[HomothetPlacement],
                     pieces_body: Optional[ConvexBody] = None) -> dict:
     """The verdict as a dict of plain JSON types (schema 3)."""
-    centers = np.array([pl.center for pl in placements], dtype=float)
-    ratios = np.array([pl.ratio for pl in placements], dtype=float)
+    family = Homothets.of(placements)
     out = {
         "schemaVersion": SCHEMA_VERSION,
         "type": "covering",
@@ -167,8 +166,8 @@ def verdict_to_dict(verdict: CoverageVerdict, body: ConvexBody,
         "epsilon": verdict.epsilon,
         "shrink": verdict.shrink,
         "body": body.to_spec(),
-        "centers": encode_column(centers, "<f8"),
-        "ratios": encode_column(ratios, "<f8"),
+        "centers": encode_column(family.centers, "<f8"),
+        "ratios": encode_column(family.ratios, "<f8"),
     }
     if pieces_body is not None and pieces_body is not body:
         out["piecesBody"] = pieces_body.to_spec()
@@ -186,15 +185,6 @@ def verdict_to_dict(verdict: CoverageVerdict, body: ConvexBody,
         out["membershipTolerance"] = MEMBERSHIP_TOL
         out["assignment"] = encode_column(verdict.assignment, "<i4")
     return out
-
-
-def _decode_assignment(text, size: int, copies: int) -> Optional[np.ndarray]:
-    """The embedded assignment, or None unless it is a column of exactly
-    ``size`` int32 copy indices in [0, copies)."""
-    a = decode_column(text, "<i4", size)
-    if a is None or a.min() < 0 or a.max() >= copies:
-        return None
-    return a
 
 
 def _inside(body: ConvexBody, points: np.ndarray, centers: np.ndarray,
@@ -251,8 +241,8 @@ def recheck_certificate(cert: dict) -> bool:
             return False
         if cert.get("membershipTolerance") != MEMBERSHIP_TOL:
             return False
-        a = _decode_assignment(cert.get("assignment"), net.size, ratios.size)
-        if a is None:
+        a = decode_column(cert.get("assignment"), "<i4", net.size)  # a copy per net point
+        if a is None or a.min() < 0 or a.max() >= ratios.size:
             return False
         radii = ratios[a] - shrink
         if np.any(radii <= 0.0):

@@ -33,7 +33,7 @@ import numpy as np
 from . import covercert, nets, randvol
 from .bodies import (
     ConvexBody,
-    HomothetPlacement,
+    Homothets,
     MinkowskiCombo,
     bounding_box,
     combo_contains,
@@ -71,6 +71,8 @@ def rogers_factor(n: int, constant: int, mode: str, multiplier: float = DESK_MUL
     if mode == MODE_PAPER:
         return n * math.log(n) + n * math.log(math.log(n)) + constant * n
     if mode == MODE_DESK:
+        if not (math.isfinite(multiplier) and multiplier > 0.0):
+            raise ValueError(f"desk-mode multiplier must be finite and positive, got {multiplier}")
         return multiplier * constant / 5.0
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -92,14 +94,6 @@ class RatioSequence:
 
 
 @dataclass(eq=False)
-class PlacedPiece:
-    index: int
-    center: np.ndarray
-    ratio: float
-    phase: str
-
-
-@dataclass(eq=False)
 class DyadicPlan:
     classes: dict            # k -> list of ratio indices
     budgets: dict            # k -> F(k)
@@ -114,7 +108,9 @@ class DyadicPlan:
 
 @dataclass(eq=False)
 class CoveringConstruction:
-    pieces: list                      # PlacedPiece
+    placements: Homothets             # one row per placed piece
+    index: np.ndarray                 # the ratio index of each piece
+    phase: np.ndarray                 # uint8 codes into PHASE_CODES
     verdict: Optional[CoverageVerdict]
     plan: Optional[DyadicPlan] = None
     per_cube: list = field(default_factory=list)
@@ -232,6 +228,11 @@ def _random_phase_points(side: float, body: ConvexBody, specs: randvol.RngStream
                                 -side - 2.0 * V.max(axis=0), side - 2.0 * V.min(axis=0), specs)
 
 
+def _phases(*runs) -> np.ndarray:
+    """The uint8 phase column of consecutive (phase, count) runs."""
+    return np.repeat(np.uint8([PHASE_CODES.index(p) for p, _ in runs]), [c for _, c in runs])
+
+
 def _reuse(shared: dict, key, build):
     """``shared[key]``, built by ``build()`` on first use."""
     if key not in shared:
@@ -297,8 +298,6 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
     M = lambdas.size
     if M == 0:
         raise ValueError("need at least one piece")
-    if indices is None:
-        indices = list(range(M))
     if side < n ** 2 - 1e-9:
         raise ValueError(f"cube side parameter {side} below n^2 = {n ** 2}")
     if lambdas.min() < 0.5 - 1e-9 or lambdas.max() > 1.0 + 1e-9:
@@ -326,7 +325,6 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
     m_prime = int(np.searchsorted(csum, target) + 1)
     m_prime = min(m_prime, M)
     phase1_pts = _random_phase_points(side, body, rng.children(_PIECE_TAG, np.arange(m_prime)))
-    placements = [HomothetPlacement(phase1_pts[i], lambdas[i]) for i in range(m_prime)]
 
     # margins: sigma_g for the marking grid, cert margin for the final net
     lam_min = float(lambdas.min())
@@ -351,7 +349,8 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
 
     grid_pts = _reuse(shared, ("grid", body, side, sigma_g, eps_cert), lambda: nets.gauge_grid(
         n, keep, sigma_g * r_k, anchor, box_lo, box_hi)[0])
-    covered = covered_by_union(body, placements, grid_pts, shrink=shrink)
+    covered = covered_by_union(body, Homothets(phase1_pts, lambdas[:m_prime]), grid_pts,
+                               shrink=shrink)
     marked = grid_pts[~covered]
 
     # phase 2: separated patch points, in grid order
@@ -363,18 +362,9 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
         raise PatchDeficit(
             f"patch needs {len(chosen)} pieces but only {available} remain "
             f"(shortfall {len(chosen) - available})")
-    for j in range(m_prime, M):
-        if len(chosen):
-            pos = chosen[(j - m_prime) % len(chosen)]
-        else:
-            pos = np.zeros(n)
-        placements.append(HomothetPlacement(pos, lambdas[j]))
-
-    pieces = [
-        PlacedPiece(indices[i], placements[i].center, float(lambdas[i]),
-                    PHASE_RANDOM if i < m_prime else PHASE_PATCH)
-        for i in range(M)
-    ]
+    # the remaining pieces cycle over the patch points
+    patch = chosen[np.arange(available) % len(chosen)] if len(chosen) else np.zeros((available, n))
+    placements = Homothets(np.vstack([phase1_pts, patch]), lambdas)
     net = _reuse(shared, ("net", n, side, eps_cert),
                  lambda: nets.build_net(target_body, eps_cert))
     verdict = covercert.certify_cover(target_body, placements, eps_cert, net=net,
@@ -391,8 +381,10 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
     })
     certificate = covercert.verdict_to_dict(verdict, target_body, placements,
                                             pieces_body=body)
-    return CoveringConstruction(pieces=pieces, verdict=verdict, info=info,
-                                certificate=certificate)
+    return CoveringConstruction(
+        placements=placements, index=np.arange(M) if indices is None else np.asarray(indices),
+        phase=_phases((PHASE_RANDOM, m_prime), (PHASE_PATCH, available)), verdict=verdict,
+        info=info, certificate=certificate)
 
 
 # --- the end-to-end pipeline ----------------------------------------------
@@ -454,12 +446,11 @@ def schedule_covering(body: ConvexBody, seq: RatioSequence, rng: RngSpec, *,
         combos = {lam: MinkowskiCombo(body, 1.0, lam) for lam in lams}
         centers = randvol.sample_first([combos[lam] for lam in lams],
                                        rng.children(_PIECE_TAG, np.array(large)))
-        placements = [HomothetPlacement(c, lam) for c, lam in zip(centers, lams)]
+        placements = Homothets(centers, lams)
         verdict = covercert.certify_cover(body, placements, eps)
-        pieces = [PlacedPiece(i, pl.center, pl.ratio, PHASE_PROP1)
-                  for i, pl in zip(large, placements)]
         return CoveringConstruction(
-            pieces=pieces, verdict=verdict,
+            placements=placements, index=np.array(large), phase=_phases((PHASE_PROP1, len(large))),
+            verdict=verdict,
             certificate=covercert.verdict_to_dict(verdict, body, placements),
             info={"branch": "A", "largeMass": large_mass, "epsilonFinal": eps,
                   "volumeRatio": ratio_kk, "mode": mode, "multiplier": multiplier})
@@ -488,7 +479,8 @@ def schedule_covering(body: ConvexBody, seq: RatioSequence, rng: RngSpec, *,
                        tile_scale=tile_scale, mode=mode, multiplier=multiplier)
 
     pieces_small = normalized.scaled(tile_scale)
-    pieces: list[PlacedPiece] = []
+    ratios = np.array(seq.ratios)
+    centers, index, phase = [], [], []
     per_cube = []
     cube_certificates = []
     shared = {}  # grids and nets equal across cubes, for this call only
@@ -501,27 +493,25 @@ def schedule_covering(body: ConvexBody, seq: RatioSequence, rng: RngSpec, *,
             float(n ** 2), pieces_small, lams, rng.child(_CUBE_TAG, cube_no),
             mode=mode, multiplier=multiplier,
             cert_margin=eps_f * rescale * 1.05, indices=idx, shared=shared)
-        back = s_k / n ** 2
-        for piece in sub.pieces:
-            pieces.append(PlacedPiece(piece.index, center + piece.center * back,
-                                      seq.ratios[piece.index], piece.phase))
+        centers.append(center + sub.placements.centers * (s_k / n ** 2))
+        index.append(sub.index)
+        phase.append(sub.phase)
         per_cube.append({"cube": cube_no, "class": key, "center": center.tolist(),
                          "scale": s_k, "status": sub.verdict.status,
                          "info": sub.info})
         cube_certificates.append(sub.certificate)
 
-    placements = [HomothetPlacement(p.center, p.ratio) for p in pieces]
+    index = np.concatenate(index)
+    placements = Homothets(np.concatenate(centers), ratios[index])
     verdict = covercert.certify_cover(normalized, placements, eps_f)
     certificate = covercert.verdict_to_dict(verdict, normalized, placements)
 
     if norm_flags["applied"]:
-        pieces = [
-            PlacedPiece(p.index, p.center / s_scale + (1.0 - p.ratio) * t_shift,
-                        p.ratio, p.phase)
-            for p in pieces
-        ]
+        placements = Homothets(placements.centers / s_scale
+                               + (1.0 - placements.ratios)[:, None] * t_shift, placements.ratios)
     return CoveringConstruction(
-        pieces=pieces, verdict=verdict, plan=plan, per_cube=per_cube,
+        placements=placements, index=index, phase=np.concatenate(phase), verdict=verdict,
+        plan=plan, per_cube=per_cube,
         certificate=certificate, cube_certificates=cube_certificates,
         info={"branch": "B", "largeMass": large_mass, "epsilonFinal": eps_f,
               "volumeRatio": ratio_kk, "normalization": norm_flags,

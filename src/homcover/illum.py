@@ -31,8 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import covercert, randcover
-from .bodies import INTERIOR_MARGIN, ConvexBody, HomothetPlacement, MinkowskiCombo
+from .bodies import INTERIOR_MARGIN, ConvexBody, HomothetPlacement, Homothets, MinkowskiCombo
 from .covercert import CERTIFIED, CoverageVerdict
 from .randcover import CoverExperimentConfig, iter_trials, threshold_sum
 from .randvol import RngSpec, difference_volume_ratio
@@ -118,27 +117,22 @@ class ConversionResult:
 
 
 def covering_to_illumination(body: ConvexBody,
-                             placements: Sequence[HomothetPlacement],
+                             placements: Homothets | Sequence[HomothetPlacement],
                              epsilon_cover: float,
-                             verdict: Optional[CoverageVerdict] = None,
-                             net_epsilon: Optional[float] = None) -> ConversionResult:
-    """Turn a certified covering by copies of ratio 1 - epsilon_cover into
-    light sources R * x_i with R = 1/epsilon_cover + R_MARGIN."""
+                             verdict: CoverageVerdict) -> ConversionResult:
+    """Turn a covering by copies of ratio 1 - epsilon_cover, which
+    ``verdict`` certifies, into light sources R * x_i with
+    R = 1/epsilon_cover + R_MARGIN."""
     if not 0.0 < epsilon_cover < 1.0:
         raise ValueError("epsilon_cover must be in (0, 1); R would be infinite at 0")
-    lam = 1.0 - epsilon_cover
-    if any(abs(pl.ratio - lam) > 1e-9 for pl in placements):
+    family = Homothets.of(placements)
+    if np.any(np.abs(family.ratios - (1.0 - epsilon_cover)) > 1e-9):
         raise ValueError("every ratio must equal 1 - epsilon_cover")
-    if verdict is None:
-        eps_net = net_epsilon if net_epsilon is not None else \
-            randcover.experiment_epsilon(body.dim, [lam])
-        verdict = covercert.certify_cover(body, placements, eps_net)
     if verdict.status != CERTIFIED:
         raise ConversionRequiresCertificate(
             f"covering verdict is {verdict.status!r}, not certified")
     r_used = 1.0 / epsilon_cover + R_MARGIN
-    positions = r_used * np.array([pl.center for pl in placements], dtype=float).reshape(
-        len(placements), body.dim)
+    positions = r_used * family.centers.reshape(family.ratios.size, body.dim)
     inside = body.contains(positions, "closed")
     return ConversionResult(sources=[LightSource(pos) for pos in positions[~inside]],
                             r_used=r_used, verdict=verdict,
@@ -243,15 +237,10 @@ def run_illumination_pipeline(body: ConvexBody, trials: int, rng: RngSpec,
     m = math.ceil(threshold_sum(n, ratio, 5))
     t4 = threshold_sum(n, ratio, 4)
     epsilon_cover = 1.0 - (t4 / m) ** (1.0 / n)
-    lam = 1.0 - epsilon_cover
+    # the ratio is passed on: the config would estimate it again from the same stream
     config = CoverExperimentConfig(
-        body=body,
-        ratios=[lam] * m,
-        trials=trials,
-        rng=rng,
-        epsilon=net_epsilon,
-        sample_combo=MinkowskiCombo(body, 1.0, 1.0),
-    )
+        body=body, ratios=[1.0 - epsilon_cover] * m, trials=trials, rng=rng, epsilon=net_epsilon,
+        volume_ratio=ratio, sample_combo=MinkowskiCombo(body, 1.0, 1.0))
     certified = verified = falsified = 0
     rows = []
     r_used = 1.0 / epsilon_cover + R_MARGIN

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bodies import ConvexBody, HomothetPlacement, first_cover
+from .bodies import ConvexBody, Homothets, first_cover
 
 GRID_SLACK = 0.01
 MAX_NET_POINTS = 10_000_000
@@ -110,7 +110,7 @@ class EpsNet:
     def covering_indices(self, points):
         """For each point x, the index of the first net point y with x in
         y + eps*K, or -1; and the mask of points that have one."""
-        copies = [HomothetPlacement(y, self.epsilon) for y in self.points]
+        copies = Homothets(self.points, np.full(self.size, self.epsilon))
         idx = first_cover(self.body, copies, points)
         return idx, idx >= 0
 

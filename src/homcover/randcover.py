@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import covercert, nets
-from .bodies import ConvexBody, HomothetPlacement, MinkowskiCombo
+from .bodies import ConvexBody, HomothetPlacement, Homothets, MinkowskiCombo
 from .covercert import CERTIFIED, REFUTED, UNKNOWN
 from .nets import EpsNet
 from .randvol import RngSpec, difference_volume_ratio, sample_first
@@ -119,7 +119,7 @@ def iter_trials(config: CoverExperimentConfig,
         centers = sample_first(combos, config.rng.children(t, copies))
         placements = [HomothetPlacement(c, lam) for c, lam in zip(centers, config.ratios)]
         verdict = covercert.decide_cover(
-            body, placements, config.epsilon,
+            body, Homothets(centers, config.ratios), config.epsilon,
             config.rng.child(t, _PROBE_STREAM_TAG), config.probes, net=net)
         yield t, placements, verdict
 

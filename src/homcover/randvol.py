@@ -34,6 +34,7 @@ from .bodies import ConvexBody, MinkowskiCombo, bounding_box, combo_contains
 _MASK64 = (1 << 64) - 1
 _REJECTION_FLOOR = 1e-6
 _PROBE_PROPOSALS = 2_000_000
+_VOLUME_SAMPLES = 200_000  # per Monte Carlo volume estimate
 
 # first_points: proposals drawn per stream before a stream falls back to the
 # one-stream sampler, and streams whose proposals are tested in one call
@@ -169,10 +170,11 @@ class VolumeEstimate:
     box_volume: float
 
 
-def wilson_interval(hits: int, trials: int, z: float = 1.959963984540054):
+def wilson_interval(hits: int, trials: int):
     """Wilson score 95% interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = 1.959963984540054  # the standard normal quantile at 0.975
     phat = hits / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -332,7 +334,7 @@ def exact_volume(body: ConvexBody) -> float:
 
 
 def difference_volume_ratio(body: ConvexBody, rng: RngSpec | None = None,
-                            samples: int = 200_000):
+                            samples: int = _VOLUME_SAMPLES):
     """Vol(K - K) / Vol(K): exact 2^n for the symmetric kinds, the exact
     central binomial for simplices, Monte Carlo otherwise.
 
@@ -350,11 +352,10 @@ def difference_volume_ratio(body: ConvexBody, rng: RngSpec | None = None,
     return est_diff.mean / est_body.mean, (est_diff, est_body)
 
 
-def body_volume(body: ConvexBody, rng: RngSpec | None = None,
-                samples: int = 200_000) -> float:
+def body_volume(body: ConvexBody, rng: RngSpec | None = None) -> float:
     try:
         return exact_volume(body)
     except UnsupportedBody:
         if rng is None:
             raise
-        return mc_volume(MinkowskiCombo(body, 1.0, 0.0), rng, samples).mean
+        return mc_volume(MinkowskiCombo(body, 1.0, 0.0), rng, _VOLUME_SAMPLES).mean

@@ -4,6 +4,7 @@ import pytest
 from homcover.bodies import (
     ConvexBody,
     HomothetPlacement,
+    Homothets,
     MinkowskiCombo,
     bounding_box,
     combo_contains,
@@ -13,6 +14,7 @@ from homcover.bodies import (
     cube_inclusion_factor,
     random_vrep_body,
 )
+from homcover.nets import build_net
 from homcover.randvol import RngSpec
 
 
@@ -188,3 +190,39 @@ def test_random_vrep_body_properties():
     assert body.contains_origin_interior
     assert np.allclose(body.vertices.mean(axis=0), 0.0, atol=1e-12)
     assert np.all(np.linalg.norm(body.vertices - body.vertices.mean(axis=0), axis=1) <= 2.0)
+
+
+@pytest.mark.parametrize("ratio", [-0.1, 1.5, float("nan")])
+def test_homothets_reject_a_ratio_outside_the_unit_interval(ratio):
+    with pytest.raises(ValueError):
+        Homothets(np.zeros((2, 2)), [0.5, ratio])
+
+
+def test_homothets_need_one_ratio_per_center():
+    with pytest.raises(ValueError):
+        Homothets(np.zeros((3, 2)), [0.5, 0.5])
+    with pytest.raises(ValueError):
+        Homothets(np.zeros(2), [0.5, 0.5])
+
+
+def test_homothets_columns_are_read_only_views():
+    centers, ratios = np.zeros((3, 2)), np.full(3, 0.5)
+    family = Homothets(centers, ratios)
+    for column in (family.centers, family.ratios):
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+    centers[0, 0] = ratios[0] = 0.25  # the caller's arrays stay writable
+    assert family.centers[0, 0] == family.ratios[0] == 0.25
+    assert Homothets.of(family) is family
+    net = build_net(ConvexBody.cube(2), 0.5)
+    net.covering_indices(np.zeros((1, 2)))
+    assert net.points.flags.writeable
+
+
+def test_homothets_of_stacks_placements():
+    placements = [HomothetPlacement(np.array([0.1 * i, -0.2 * i]), 0.1 * i) for i in range(4)]
+    family = Homothets.of(placements)
+    assert family.centers.tobytes() == np.array([pl.center for pl in placements]).tobytes()
+    assert family.ratios.tolist() == [pl.ratio for pl in placements]
+    empty = Homothets.of([])
+    assert empty.centers.shape[0] == empty.ratios.size == 0

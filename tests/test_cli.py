@@ -122,6 +122,16 @@ def test_verify_takes_no_seed_or_out(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cert.json"]
 
 
+def test_verify_body_overrides_the_embedded_one(tmp_path):
+    certified, _ = _quadrant_certificates()
+    cert, body = tmp_path / "cert.json", tmp_path / "body.json"
+    cert.write_text(json.dumps(certified))
+    body.write_text(json.dumps(certified["body"]))
+    assert dispatch(["verify", "--certificate", str(cert), "--body", str(body)]) == EXIT_OK
+    body.write_text(json.dumps({"kind": "cube", "dim": 2, "scale": 2.0}))
+    assert dispatch(["verify", "--certificate", str(cert), "--body", str(body)]) == EXIT_VERIFY
+
+
 def test_verify_rejects_a_raised_membership_tolerance(tmp_path):
     certified, _ = _quadrant_certificates()
     path = tmp_path / "cert.json"
@@ -222,7 +232,7 @@ def test_fn_schedule_columns_decode_to_the_pieces(tmp_path):
     payload = read_json(out)
     cons = fnsched.schedule_covering(ConvexBody.cube(2), fnsched.RatioSequence((0.9,) * 300, 2),
                                      RngSpec(9))
-    count = len(cons.pieces)
+    count = cons.index.size
     columns = payload["placements"]
     index = decode_column(columns["index"], "<i4", count)
     centers = decode_column(columns["centers"], "<f8", 2 * count).reshape(count, 2)
@@ -230,10 +240,11 @@ def test_fn_schedule_columns_decode_to_the_pieces(tmp_path):
     phase = decode_column(columns["phase"], "u1", count)
     assert payload["schemaVersion"] == 3
     assert payload["phaseCodes"] == ["prop1", "random", "patch"]
-    assert index.tolist() == [p.index for p in cons.pieces]
-    assert centers.tobytes() == np.array([p.center for p in cons.pieces]).tobytes()
-    assert ratios.tobytes() == np.array([p.ratio for p in cons.pieces]).tobytes()
-    assert [payload["phaseCodes"][c] for c in phase] == [p.phase for p in cons.pieces]
+    assert index.tolist() == cons.index.tolist()
+    assert centers.tobytes() == cons.placements.centers.tobytes()
+    assert ratios.tobytes() == cons.placements.ratios.tobytes()
+    assert phase.tobytes() == cons.phase.tobytes()
+    assert [payload["phaseCodes"][c] for c in phase] == ["prop1"] * count
 
 
 def test_net_on_a_body_whose_simplex_is_inaccurate(tmp_path):
@@ -264,6 +275,10 @@ def test_input_errors_exit_2(tmp_path):
     # --threads only on the commands whose coverage tests use worker threads
     for command in ("volume", "net", "bounds"):
         assert dispatch([command, "--dim", "2", "--body", "cube", "--threads", "1"]) == EXIT_INPUT
+    # the desk-mode multiplier must be finite and positive
+    for scale in ("-1", "0", "nan", "inf"):
+        assert dispatch(["fn-schedule", "--dim", "2", "--body", "cube", "--lambda", "0.9",
+                         "--count", "300", "--scale", scale]) == EXIT_INPUT
 
 
 def test_ratio_file_is_read(tmp_path):
@@ -355,6 +370,24 @@ def test_output_bytes_are_pinned(tmp_path, argv, out_sha):
     out = tmp_path / "out.json"
     assert dispatch([*argv, "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == out_sha
+
+
+# sha256 of the --rows CSV of one small run of each command that writes one
+PINNED_ROWS = [
+    (["cover", "--body", "cube", "--dim", "2", "--lambda", "0.9", "--count", "15",
+      "--trials", "4", "--seed", "21", "--epsilon", "0.05", "--probes", "1000"],
+     "722a4adff216c0c4c173eb2c4aa5452d2f57a6d6e97c1f466c4c2c02bbe0c8fa"),
+    (["illuminate", "--body", "cube", "--dim", "2", "--trials", "3", "--seed", "5",
+      "--probes", "500"],
+     "f761d5c16457d043ffb15eb4b2a312a018c1cd40bf0129c438a8a0981e00f9c3"),
+]
+
+
+@pytest.mark.parametrize("argv,rows_sha", PINNED_ROWS, ids=[argv[0] for argv, _ in PINNED_ROWS])
+def test_rows_bytes_are_pinned(tmp_path, argv, rows_sha):
+    rows = tmp_path / "rows.csv"
+    assert dispatch([*argv, "--out", str(tmp_path / "out.json"), "--rows", str(rows)]) == EXIT_OK
+    assert hashlib.sha256(rows.read_bytes()).hexdigest() == rows_sha
 
 
 def test_parser_is_reused_without_leaking_arguments(tmp_path):

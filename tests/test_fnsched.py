@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from homcover.bodies import ConvexBody, MinkowskiCombo, combo_contains
+from homcover.bodies import ConvexBody, HomothetPlacement, MinkowskiCombo, combo_contains
 from homcover.covercert import CERTIFIED, recheck_certificate
 from homcover.fnsched import (
+    PHASE_CODES,
     CubeAssignmentDeficit,
     PatchDeficit,
     RatioSequence,
@@ -36,6 +37,9 @@ def test_rogers_factor_modes():
     assert rogers_factor(2, 6, "desk", 3.0) == pytest.approx(3.6)
     with pytest.raises(ValueError):
         rogers_factor(2, 5, "fast")
+    for multiplier in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            rogers_factor(2, 4, "desk", multiplier)
 
 
 def test_dyadic_class_arithmetic():
@@ -126,9 +130,8 @@ def test_cover_cube_two_phase_certifies_and_is_deterministic():
     assert cons.verdict.status == CERTIFIED
     assert cons.info["mPrime"] == 154  # least prefix past 2.4 * 64 at piece volume 1
     again = cover_cube_two_phase(4.0, SQUARE, [0.5] * 400, RngSpec(42))
-    assert all(np.array_equal(a.center, b.center)
-               for a, b in zip(cons.pieces, again.pieces))
-    phases = {p.phase for p in cons.pieces}
+    assert np.array_equal(cons.placements.centers, again.placements.centers)
+    phases = {PHASE_CODES[c] for c in cons.phase}
     assert phases == {"random", "patch"}
     assert recheck_certificate(cons.certificate)
 
@@ -142,7 +145,7 @@ def test_cover_cube_two_phase_volume_precondition():
 
 def test_patch_separation_invariant():
     cons = cover_cube_two_phase(4.0, SQUARE, [0.5] * 400, RngSpec(42))
-    pts = np.array([p.center for p in cons.pieces if p.phase == "patch"])
+    pts = cons.placements.centers[cons.phase == PHASE_CODES.index("patch")]
     pts = np.unique(pts, axis=0)
     sigma = cons.info["sigmaSeparation"]
     zone = MinkowskiCombo(SQUARE, 2 * sigma * (1 - 1e-9), 2 * sigma * (1 - 1e-9))
@@ -160,8 +163,7 @@ def test_patch_deficit_reported():
 def test_index_bookkeeping_in_construction():
     cons = cover_cube_two_phase(4.0, SQUARE, [0.5] * 400, RngSpec(42),
                              indices=list(range(1000, 1400)))
-    got = [p.index for p in cons.pieces]
-    assert got == list(range(1000, 1400))  # each index used exactly once here
+    assert cons.index.tolist() == list(range(1000, 1400))  # each index used exactly once here
 
 
 def test_schedule_covering_branch_a():
@@ -169,23 +171,37 @@ def test_schedule_covering_branch_a():
     cons = schedule_covering(SQUARE, seq, RngSpec(9), mode="desk")
     assert cons.info["branch"] == "A"
     assert cons.verdict.status == CERTIFIED
-    assert all(p.phase == "prop1" for p in cons.pieces)
+    assert all(PHASE_CODES[c] == "prop1" for c in cons.phase)
     assert recheck_certificate(cons.certificate)
     # determinism
     again = schedule_covering(SQUARE, seq, RngSpec(9), mode="desk")
-    assert all(np.array_equal(a.center, b.center)
-               for a, b in zip(cons.pieces, again.pieces))
+    assert np.array_equal(cons.placements.centers, again.placements.centers)
+
+
+@pytest.mark.parametrize("ratios,options", [
+    ((0.9,) * 300, {}),
+    ((0.03,) * 13000, {"multiplier": 8.0, "eps_final": 0.003}),
+], ids=["branch-A", "branch-B"])
+def test_schedule_covering_builds_no_per_copy_objects(monkeypatch, ratios, options):
+    """Both branches hold their copies as columns from the sampler to the
+    certificate: no HomothetPlacement is constructed."""
+    built = []
+    check = HomothetPlacement.__post_init__
+    monkeypatch.setattr(HomothetPlacement, "__post_init__",
+                        lambda self: (built.append(self), check(self)))
+    cons = schedule_covering(SQUARE, RatioSequence(ratios, 2), RngSpec(7), **options)
+    assert cons.verdict.status == CERTIFIED
+    assert built == []
+    assert cons.placements.ratios.size == cons.index.size == cons.phase.size == len(ratios)
 
 
 def test_certified_construction_survives_probe_refutation():
-    from homcover.bodies import HomothetPlacement
     from homcover.covercert import refute_cover
 
     seq = RatioSequence((0.9,) * 300, 2)
     cons = schedule_covering(SQUARE, seq, RngSpec(9), mode="desk")
     assert cons.verdict.status == CERTIFIED
-    placements = [HomothetPlacement(p.center, p.ratio) for p in cons.pieces]
-    assert refute_cover(SQUARE, placements, RngSpec(99), 50_000).status == "unknown"
+    assert refute_cover(SQUARE, cons.placements, RngSpec(99), 50_000).status == "unknown"
 
 
 def test_schedule_covering_paper_mode_branch_choice():

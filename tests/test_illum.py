@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from homcover import illum, randcover
 from homcover.bodies import INTERIOR_MARGIN, ConvexBody, HomothetPlacement, MinkowskiCombo
-from homcover.covercert import certify_cover
+from homcover.covercert import UNKNOWN as COVER_UNKNOWN, CoverageVerdict, certify_cover
 from homcover.illum import (
     BOUNDARY_TOL,
     FALSIFIED,
@@ -89,12 +90,13 @@ def test_empty_source_list_falsified_immediately():
 def test_conversion_requires_certificate_and_guards():
     placements = [HomothetPlacement(np.array([sx * 0.45, sy * 0.45]), 0.6)
                   for sx in (-1, 1) for sy in (-1, 1)]
+    unknown = CoverageVerdict(COVER_UNKNOWN, 0.3)
     with pytest.raises(ValueError):
-        covering_to_illumination(SQUARE, placements, 0.0)
+        covering_to_illumination(SQUARE, placements, 0.0, unknown)
     with pytest.raises(ValueError):
-        covering_to_illumination(SQUARE, placements, 0.3)  # ratios aren't 1 - 0.3
+        covering_to_illumination(SQUARE, placements, 0.3, unknown)  # ratios aren't 1 - 0.3
     with pytest.raises(ConversionRequiresCertificate):
-        covering_to_illumination(SQUARE, placements, 0.4, net_epsilon=0.3)
+        covering_to_illumination(SQUARE, placements, 0.4, unknown)
 
 
 def test_certified_covering_converts_and_verifies():
@@ -108,6 +110,19 @@ def test_certified_covering_converts_and_verifies():
     check = verify_illumination(SQUARE, conv.sources, RngSpec(8), 20_000,
                                 certificate=verdict, r_used=conv.r_used)
     assert check.status == VERIFIED_BY_COVERING
+
+
+def test_illumination_pipeline_estimates_the_volume_ratio_once(monkeypatch):
+    calls, estimate = [], illum.difference_volume_ratio
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate(*args, **kwargs)
+
+    for module in (illum, randcover):
+        monkeypatch.setattr(module, "difference_volume_ratio", counted)
+    run_illumination_pipeline(SQUARE, trials=1, rng=RngSpec(31), probes=200)
+    assert len(calls) == 1
 
 
 def test_illumination_pipeline_matches_cover_engine_on_shared_seed():

@@ -4,7 +4,8 @@ against a dense membership matrix, thread-count and sampler batch-size
 invariance, the patch pass against a quadratic greedy, the vectorised Philox
 and multi-stream draws against numpy's generator and the one-stream sampler,
 the grouped grid against its one-slab form, the soundness of decided
-coverage verdicts, the CLI's JSON writer against ``json.dumps``, and the
+coverage verdicts, the coverage entry points on a list of copies against
+its columns, the CLI's JSON writer against ``json.dumps``, and the
 certificate column codec's round trip."""
 
 import itertools
@@ -19,12 +20,12 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from homcover import bodies, fnsched, nets, randvol, runtime
-from homcover.bodies import MEMBERSHIP_TOL, ConvexBody, HomothetPlacement, MinkowskiCombo, \
-    bounding_box, combo_contains, combo_contains_lp, covered_by_union, first_cover, \
+from homcover.bodies import MEMBERSHIP_TOL, ConvexBody, HomothetPlacement, Homothets, \
+    MinkowskiCombo, bounding_box, combo_contains, combo_contains_lp, covered_by_union, first_cover, \
     random_vrep_body
 from homcover.cli import _dumps
-from homcover.covercert import CERTIFIED, REFUTED, certify_cover, decide_cover, \
-    decode_column, encode_column
+from homcover.covercert import CERTIFIED, REFUTED, UNKNOWN, CoverageVerdict, certify_cover, \
+    decide_cover, decode_column, encode_column, verdict_to_dict
 from homcover.fnsched import _random_phase_points, _separated_subset
 from homcover.nets import GRID_SLACK, NetTooLarge, build_net
 from homcover.randvol import RejectionTooSlow, RngSpec, RngStreams, _philox_random, \
@@ -403,6 +404,39 @@ def test_decided_verdicts_are_sound(body, seed, count, lam, eps, whole):
         w = verdict.witness
         assert combo_contains_lp(MinkowskiCombo(body, 1.0, 0.0), w)
         assert dense_first_cover(body, placements, w[None], 0.0)[0] == -1
+
+
+@PROPERTY_SETTINGS
+@given(any_bodies(), seeds, st.integers(0, 12), st.floats(0.2, 0.6), st.booleans())
+@example(ConvexBody.cube(2), 0, 0, 0.5, False)  # the empty family
+def test_entry_points_give_the_same_for_a_list_and_its_columns(body, seed, count, eps, whole):
+    """first_cover, certify_cover and verdict_to_dict read a list of
+    HomothetPlacement and ``Homothets.of`` of it alike, the empty family too."""
+    rng = np.random.default_rng(seed)
+    placements = random_placements(body, rng, count)
+    try:
+        net = build_net(body, eps, max_points=50_000)
+        if whole:  # unit copies on a 1/2-net cover K even after the shrink
+            placements += [HomothetPlacement(y, 1.0)
+                           for y in build_net(body, 0.5, max_points=50_000).points]
+    except NetTooLarge:
+        return  # a sliver body: its net would need millions of points
+    family = Homothets.of(placements)
+    lo, hi = body.vertex_bbox
+    pts = rng.uniform(lo, hi, size=(300, body.dim))
+    assert np.array_equal(first_cover(body, placements, pts, 0.01),
+                          first_cover(body, family, pts, 0.01))
+    if not placements:
+        for given_family in (placements, family):
+            with pytest.raises(ValueError):
+                certify_cover(body, given_family, eps, net=net)
+        verdicts = [CoverageVerdict(UNKNOWN, eps)] * 2
+    else:
+        verdicts = [certify_cover(body, p, eps, net=net) for p in (placements, family)]
+        a, b = (v.assignment for v in verdicts)
+        assert (a is None and b is None) or np.array_equal(a, b)
+    assert verdict_to_dict(verdicts[0], body, placements) == \
+        verdict_to_dict(verdicts[1], body, family)
 
 
 json_scalars = st.one_of(
