@@ -15,7 +15,8 @@ Every membership predicate is one test, ``A x <= rhs`` in every row
 
 The cube never needs qhull, so cube runs do not import scipy.  ``first_cover``
 is the one coverage kernel behind ``covered_by_union``, certification,
-refutation and net covering.
+refutation and net covering.  It lists the copies per grid cell in index
+order and walks each point through its cell's list up to its first hit.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import lpcore, runtime
 INTERIOR_MARGIN = 1e-7
 MEMBERSHIP_TOL = 1e-9
 # first_cover: box padding, so points the MEMBERSHIP_TOL slack admits near a
-# sharp vertex stay in a copy's cells; (copy, point, facet) entries per block
+# sharp vertex stay in a copy's cells; entries per block of tests or cell lists
 _BOX_PAD = 1e-6
 _PAIR_BLOCK = 1 << 18
 
@@ -241,7 +242,7 @@ class HomothetPlacement:
     ratio: float
 
     def __post_init__(self):
-        center = np.asarray(self.center, dtype=float)
+        center = np.asarray(self.center, dtype=float).view()  # the caller's stays writable
         center.setflags(write=False)
         object.__setattr__(self, "center", center)
         if not 0.0 <= self.ratio <= 1.0:
@@ -300,13 +301,15 @@ def first_cover(body: ConvexBody, placements: Homothets | Sequence[HomothetPlace
     MEMBERSHIP_TOL per facet), or -1; copies with ratio - shrink <= 0 cover
     nothing.  Calls whose copy x point pairs fit ``_PAIR_BLOCK`` test all
     pairs at once, without the grid's fixed cost (one point and one copy:
-    40 us, not 250 us).  Otherwise each copy is paired with the points of
-    the cells its box meets (``_cell_grid``), and blocks of consecutive
-    copies, doubling from one, are tested against the points no earlier
-    block covered.
+    40 us, not 250 us).  Otherwise each cell of ``_cell_grid`` lists the
+    copies whose boxes meet it in index order, and each point walks its
+    cell's list, a copy per vectorised round, to its first hit.  Copies go
+    in index-ordered blocks whose lists fit ``_PAIR_BLOCK``, a later block
+    walking only the points still uncovered, and points in chunks of a
+    quarter of ``_PAIR_BLOCK // facets``: the working set stays bounded.
     """
-    pts_t = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)).T)
-    n, m = pts_t.shape
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    m, n = pts.shape
     first = np.full(m, -1, dtype=np.int64)
     family = Homothets.of(placements)
     radii = family.ratios - shrink
@@ -317,89 +320,86 @@ def first_cover(body: ConvexBody, placements: Homothets | Sequence[HomothetPlace
     centers = family.centers[ids]
     budget = max(1, _PAIR_BLOCK // b.size)
     if m * ids.size <= budget:
-        offsets = (pts_t[:, :, None] - centers.T[:, None, :]).reshape(n, -1)
+        offsets = (pts.T[:, :, None] - centers.T[:, None, :]).reshape(n, -1)
         inside = np.all((A @ offsets).reshape(b.size, m, ids.size)
                         <= b[:, None, None] * radii[ids] + MEMBERSHIP_TOL, axis=0)  # points x copies
         hit = inside.any(axis=1)
         first[hit] = ids[inside[hit].argmax(axis=1)]
         return first
-    order, starts, shape, meets, c_lo, c_hi = _cell_grid(pts_t, centers, radii[ids],
-                                                         *body.vertex_bbox)
-    ids, centers = ids[meets], centers[meets]
-    centers_t = np.ascontiguousarray(centers.T)
+    origin, cell, shape, meets, c_lo, c_hi = _cell_grid(pts, centers, radii[ids],
+                                                        *body.vertex_bbox)
+    ids = ids[meets]
+    centers_t = np.ascontiguousarray(centers[meets].T)
     bounds_t = b[:, None] * radii[ids] + MEMBERSHIP_TOL  # r * b + tol, a column per copy
-    # copies per block, so that one block's run tables stay within the budget
-    max_copies = max(1, budget // (int((c_hi - c_lo).max(initial=0)) + 1) ** n)
-
-    best = np.full(m, ids.size, dtype=np.intp)  # first hitting copy, per point
-    remaining, k0, size = m, 0, 1
-    while k0 < ids.size and remaining:
-        run_lo, run_len = _cell_runs(starts, shape, c_lo[k0:k0 + size], c_hi[k0:k0 + size])
-        take = max(1, int(np.searchsorted(np.cumsum(run_len.sum(axis=1)), budget, "right")))
-        k1, size = k0 + take, min(2 * take, max_copies)
-        lens = run_len[:take].ravel()
-        ends = np.cumsum(lens)
-        cand = order[np.arange(ends[-1]) + np.repeat(run_lo[:take].ravel() - ends + lens, lens)]
-        copy = np.repeat(np.repeat(np.arange(k0, k1), run_len.shape[1]), lens)
-        del run_lo, run_len, lens, ends
-        uncovered = first[cand] < 0
-        cand, copy = cand[uncovered], copy[uncovered]
-        offsets = np.take(pts_t, cand, axis=1)
-        for row, center in zip(offsets, centers_t):
-            row -= center[copy]
-        # row by row in place, to hold one (facets x pairs) array; for finite
-        # doubles fl(x - y) <= 0 exactly when x <= y
-        slack = A @ offsets
-        for row, bound in zip(slack, bounds_t):
-            row -= bound[copy]
-        inside = np.all(slack <= 0.0, axis=0)
-        hit, copy = cand[inside], copy[inside]
-        np.minimum.at(best, hit, copy)
-        first[hit] = ids[best[hit]]
-        remaining -= np.count_nonzero(best[hit] == copy)  # one winning pair per point
-        k0 = k1
+    cells = int(np.prod(shape))
+    steps = np.array(list(np.ndindex(*(int((c_hi - c_lo).max(initial=0)) + 1,) * n)), dtype=np.intp)
+    per_block = max(1, _PAIR_BLOCK // len(steps))  # copies whose padded cell lists fit
+    # points per chunk: a quarter of the budget keeps a round's arrays in cache
+    # (29 ms, not 37 ms at the whole budget, on branch B's 168,921-point marking call)
+    chunk = max(1, budget // 4)
+    for k0 in range(0, ids.size, per_block):
+        if first.min() >= 0:
+            break
+        # per cell, the block's copies whose boxes meet it: a stable sort keeps index order
+        key, meet = 0, True
+        for lo, hi, size, step in zip(c_lo[k0:k0 + per_block].T, c_hi[k0:k0 + per_block].T,
+                                      shape, steps.T):
+            on_axis = lo[:, None] + step
+            meet = meet & (on_axis <= hi[:, None])
+            key = key * size + on_axis
+        listed, column = np.nonzero(meet)
+        key = key[listed, column]
+        listed = (listed + k0)[np.argsort(key.astype(np.uint16) if cells <= 1 << 16 else key,
+                                          kind="stable")]
+        starts = np.append(0, np.cumsum(np.bincount(key, minlength=cells)))
+        del key, meet, on_axis, column  # not held through the walk
+        for c0 in range(0, m, chunk):
+            chunk_t = pts[c0:c0 + chunk].T.copy()
+            key = 0
+            for coords, low, width, size in zip(chunk_t, origin, cell, shape):
+                key = key * size + np.minimum((coords - low) / width, size - 1).astype(np.intp)
+            todo = np.flatnonzero(first[c0:c0 + chunk] < 0)
+            key = key.take(todo)
+            # rows, updated in place: index in the chunk, next candidate, end of its list
+            walk = np.stack([todo, starts.take(key), starts[1:].take(key)])
+            while True:
+                walk = walk.compress(walk[1] < walk[2], axis=1)
+                live, pos, end = walk
+                if not live.size:
+                    break
+                copy = listed.take(pos)
+                offsets = chunk_t.take(live, axis=1)
+                for row, center in zip(offsets, centers_t):
+                    row -= center.take(copy)
+                slack = A @ offsets
+                inside = slack[0] <= bounds_t[0].take(copy)
+                for row, bound in zip(slack[1:], bounds_t[1:]):
+                    inside &= row <= bound.take(copy)
+                hit = np.flatnonzero(inside)
+                first[c0 + live[hit]] = ids[copy[hit]]
+                pos += 1
+                end[hit] = 0  # a covered point leaves the walk
     return first
 
 
-def _cell_grid(pts_t: np.ndarray, centers: np.ndarray, radii: np.ndarray, lo, hi):
-    """Bucket the points (columns of ``pts_t``) on cells half as wide as the
-    largest copy's box (a box meets up to 3 per axis, but less area than 2
-    full-width cells: 0.89 s, not 1.32 s, on fn-schedule's cube covers),
-    widened until cells are no more than points.  Returns the points in cell
-    order, where each cell's run starts in that order (and the last ends),
-    the grid shape, which copies' padded boxes meet the points, and per
+def _cell_grid(pts: np.ndarray, centers: np.ndarray, radii: np.ndarray, lo, hi):
+    """A grid on the points' box, cells half as wide as the largest copy's
+    box, widened until cells are no more than points: its origin, cell
+    widths and shape, which copies' padded boxes meet the points, and per
     meeting copy the first and last cell its box meets on each axis."""
-    n, m = pts_t.shape
-    origin = pts_t.min(axis=1)
-    extent = pts_t.max(axis=1) - origin
+    m = pts.shape[0]
+    origin = np.array([column.min() for column in pts.T])  # not pts.min(axis=0): 16x slower
+    extent = np.array([column.max() for column in pts.T]) - origin
     cell = radii.max() * (hi - lo) / 2.0
     while np.prod(np.floor(extent / cell) + 1) > m:
         cell = 2.0 * cell
     shape = (np.floor(extent / cell) + 1).astype(np.intp)
-    keys = np.ravel_multi_index(tuple(np.minimum((pts_t - origin[:, None]) / cell[:, None],
-                                                 shape[:, None] - 1).astype(np.intp)), shape)
-    order = np.argsort(keys)  # the order inside a cell does not matter
-    starts = np.zeros(int(np.prod(shape)) + 1, dtype=np.intp)
-    np.cumsum(np.bincount(keys, minlength=starts.size - 1), out=starts[1:])
-    del keys
-
-    r = radii[:, None]
-    c_lo = np.floor((centers + r * lo - _BOX_PAD - origin) / cell)
-    c_hi = np.floor((centers + r * hi + _BOX_PAD - origin) / cell)
+    c_lo = np.floor((centers + radii[:, None] * lo - _BOX_PAD - origin) / cell)
+    c_hi = np.floor((centers + radii[:, None] * hi + _BOX_PAD - origin) / cell)
     meets = np.all((c_hi >= 0) & (c_lo < shape), axis=1)
     c_lo = np.clip(c_lo[meets], 0, shape - 1).astype(np.intp)
     c_hi = np.clip(c_hi[meets], 0, shape - 1).astype(np.intp)
-    return order, starts, shape, meets, c_lo, c_hi
-
-
-def _cell_runs(starts, shape, c_lo, c_hi):
-    """Per copy (a row of ``c_lo`` and ``c_hi``), the (start, length) in cell
-    order of the runs of the cells c_lo..c_hi, padded with empty runs."""
-    span = int((c_hi - c_lo).max(initial=0)) + 1
-    cells = c_lo[:, None, :] + np.array(list(np.ndindex(*(span,) * c_lo.shape[1])), dtype=np.intp)
-    flat = np.ravel_multi_index(tuple(np.minimum(cells, c_hi[:, None, :]).T), shape).T
-    run_lo = starts[flat]
-    return run_lo, np.where(np.all(cells <= c_hi[:, None, :], axis=2), starts[flat + 1] - run_lo, 0)
+    return origin, cell, shape, meets, c_lo, c_hi
 
 
 # --- Minkowski combinations ----------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from homcover.bodies import (
     covered_by_union,
     cover_factor,
     cube_inclusion_factor,
+    first_cover,
     random_vrep_body,
 )
 from homcover.nets import build_net
@@ -217,6 +220,40 @@ def test_homothets_columns_are_read_only_views():
     net = build_net(ConvexBody.cube(2), 0.5)
     net.covering_indices(np.zeros((1, 2)))
     assert net.points.flags.writeable
+
+
+def test_placement_freezes_a_view_of_the_callers_center():
+    c = np.zeros(2)
+    pl = HomothetPlacement(c, 0.5)
+    c[0] = 1.0  # the caller's array stays writable
+    assert pl.center[0] == 1.0
+    with pytest.raises(ValueError):
+        pl.center[0] = 2.0
+
+
+# tracemalloc's peak, in bytes, of the call below under the pair-major kernel
+# that the point-major walk replaced (14,722,434 to 14,722,552 over three runs)
+PAIR_MAJOR_PEAK = 14_722_434
+
+
+def test_first_cover_peak_memory_stays_bounded():
+    """One large call, the square's 0.003-net (227,529 points) against 3,000
+    copies of ratio 0.03, stays within the pair-major kernel's peak: the
+    walk's working set is bounded by ``_PAIR_BLOCK``."""
+    square = ConvexBody.cube(2)
+    net = build_net(square, 0.003)
+    rng = np.random.default_rng(20261020)
+    family = Homothets(rng.uniform(-1.0, 1.0, size=(3000, 2)), np.full(3000, 0.03))
+    square.halfspaces, square.vertex_bbox  # the body's caches are not the kernel's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        first = first_cover(square, family, net.points)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert net.size == 227_529 and np.count_nonzero(first >= 0) == 211_139
+    assert peak <= PAIR_MAJOR_PEAK
 
 
 def test_homothets_of_stacks_placements():

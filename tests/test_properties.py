@@ -129,28 +129,42 @@ def test_sample_uniform_is_batch_invariant(body_seed, a, c, count, seed):
 
 @PROPERTY_SETTINGS
 @given(any_bodies(), seeds, st.integers(1, 12), st.integers(0, 12), st.integers(1, 400),
-       st.floats(0.0, 0.4))
-def test_first_cover_matches_dense_oracle(body, seed, count, tiny, probes, shrink):
+       st.floats(0.0, 0.4), st.integers(0, 8), st.integers(0, 8), st.integers(0, 20))
+def test_first_cover_matches_dense_oracle(body, seed, count, tiny, probes, shrink,
+                                          duplicates, dead, far):
     rng = np.random.default_rng(seed)
     # copies with ratios down to 1e-3 sit inside one cell of a grid sized to the largest
     placements = random_placements(body, rng, count)
     placements += [HomothetPlacement(pl.center, pl.ratio * 10.0 ** rng.uniform(-3.0, -1.0))
                    for pl in random_placements(body, rng, tiny)]
+    # exact duplicates, and copies with ratio - shrink <= 0, which cover nothing
+    placements += [placements[i] for i in rng.integers(0, len(placements), duplicates)]
+    placements += [HomothetPlacement(pl.center, shrink * rng.uniform())
+                   for pl in random_placements(body, rng, dead)]
     placements = [placements[i] for i in rng.permutation(len(placements))]
     lo, hi = body.vertex_bbox
     pad = 0.2 * (hi - lo)
-    point_sets = [rng.uniform(lo - pad, hi + pad, size=(probes, body.dim))]
+    # points outside every copy's box (each lies within [2 lo, 2 hi]) widen the grid
+    outside = 2.0 * hi + (hi - lo) * rng.uniform(0.5, 2.0, size=(far, body.dim))
+    probe_pts = rng.uniform(lo - pad, hi + pad, size=(probes, body.dim))
+    cases = [(placements, np.vstack([probe_pts, outside]))]
     try:
-        point_sets.append(build_net(body, 0.35 if body.dim < 4 else 0.6, max_points=50_000).points)
+        net = build_net(body, 0.35 if body.dim < 4 else 0.6, max_points=50_000)
     except NetTooLarge:
         pass  # a sliver body: its net would need millions of points
-    for pts in point_sets:
-        want = dense_first_cover(body, placements, pts, shrink)
+    else:
+        cases.append((placements, np.vstack([net.points, outside])))
+        # many copies over few points, as in EpsNet.covering_indices: a copy per net point
+        cases.append(([HomothetPlacement(y, net.epsilon) for y in net.points],
+                      np.vstack([probe_pts[:5], outside])))
+    for copies, pts in cases:
+        want = dense_first_cover(body, copies, pts, shrink)
+        assert (want[len(pts) - far:] == -1).all()
         # the default block size, and blocks of a few pairs each
         for block in (bodies._PAIR_BLOCK, 256):
             with mock.patch.object(bodies, "_PAIR_BLOCK", block):
-                assert np.array_equal(first_cover(body, placements, pts, shrink), want)
-                assert np.array_equal(covered_by_union(body, placements, pts, shrink), want >= 0)
+                assert np.array_equal(first_cover(body, copies, pts, shrink), want)
+                assert np.array_equal(covered_by_union(body, copies, pts, shrink), want >= 0)
 
 
 @settings(max_examples=5, deadline=None)
