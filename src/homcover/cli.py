@@ -334,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.set_defaults(func=_cmd_volume)
 
-    p = sub.add_parser("net", help="build a certified epsilon-net")
+    p = sub.add_parser("net", help="build a certified epsilon-net",
+                       description="Build a certified epsilon-net.  A net is a deterministic "
+                                   "grid, so --seed is accepted and ignored.")
     _common_flags(p)
     p.add_argument("--epsilon", type=float, default=None)
     p.set_defaults(func=_cmd_net)

@@ -90,7 +90,7 @@ def illuminated_mask(body: ConvexBody, sources: Sequence[LightSource], points) -
     # source is not beyond (sums of 0/1 are exact).  A point with one active
     # facet needs only the facet's minimum over the sources.
     lit = active @ short.min(axis=0, initial=1.0) == 0.0
-    rest = np.flatnonzero(lit & (active.sum(axis=1) != 1.0))
+    rest = np.flatnonzero(lit & (active @ np.ones(b.size) != 1.0))
     lit[rest] = np.any(active[rest] @ short.T == 0.0, axis=1)
     return lit
 
@@ -139,6 +139,56 @@ def covering_to_illumination(body: ConvexBody,
                             dropped_interior=int(np.count_nonzero(inside)))
 
 
+def _boundary_probes(body: ConvexBody, gen: np.random.Generator, count: int) -> np.ndarray:
+    """The body's vertices, then ``count`` minus their number of random
+    boundary points (none when ``count`` is below the vertex count): unit
+    normal directions shot from the Chebyshev center to the first facet
+    they cross.
+
+    The passes run over the few columns (coordinates, then facets), not
+    along the short rows, where numpy's reductions are slow.  Each element
+    sees the same IEEE operations as in the row form ``dirs /
+    norm(dirs, axis=1)`` and ``min(where(coef > 1e-12, slack / coef, inf),
+    axis=1)``, so the probes are bit-identical to it.
+    """
+    anchor, _ = body.chebyshev
+    A, b = body.halfspaces
+    nv = body.vertices.shape[0]
+    dirs = gen.normal(size=(max(count - nv, 0), body.dim))
+    if body.dim < 8:  # numpy sums rows this short in order, longer ones eight-way
+        norms = dirs[:, 0] * dirs[:, 0]
+        for j in range(1, body.dim):
+            norms += dirs[:, j] * dirs[:, j]
+        np.sqrt(norms, out=norms)
+    else:
+        norms = np.linalg.norm(dirs, axis=1)
+    keep = norms > 1e-12
+    if not keep.all():
+        dirs, norms = dirs[keep], norms[keep]
+    dirs /= norms[:, None]
+    # The anchor is interior, so every slack is positive and a facet the
+    # ray does not cross (coef <= 1e-12) gets slack / +0.0 = inf: its
+    # column entry is zeroed and then lifted to +0.0 (-0.0 + 0.0 is +0.0).
+    slack = b - A @ anchor
+    coef = dirs @ A.T
+    t = np.full(dirs.shape[0], np.inf)
+    den = np.empty_like(t)
+    crosses = np.empty(t.size, dtype=bool)
+    with np.errstate(divide="ignore"):
+        for i in range(b.size):
+            col = coef[:, i]
+            np.greater(col, 1e-12, out=crosses)
+            np.multiply(col, crosses, out=den)
+            den += 0.0
+            np.divide(slack[i], den, out=den)
+            np.minimum(t, den, out=t)
+    pts = np.empty((nv + dirs.shape[0], body.dim))
+    pts[:nv] = body.vertices
+    np.multiply(t[:, None], dirs, out=pts[nv:])
+    pts[nv:] += anchor
+    return pts
+
+
 def verify_illumination(body: ConvexBody, sources: Sequence[LightSource],
                         rng: RngSpec, probes: int,
                         certificate: Optional[CoverageVerdict] = None,
@@ -154,20 +204,7 @@ def verify_illumination(body: ConvexBody, sources: Sequence[LightSource],
     if probes < 1:
         raise ValueError("probes must be positive")
     validate_sources(body, sources)
-    anchor, _ = body.chebyshev
-    A, b = body.halfspaces
-    gen = rng.generator()
-
-    n_random = max(probes - body.vertices.shape[0], 0)
-    dirs = gen.normal(size=(n_random, body.dim))
-    norms = np.linalg.norm(dirs, axis=1)
-    dirs = dirs[norms > 1e-12] / norms[norms > 1e-12][:, None]
-    slack = b - A @ anchor
-    coef = dirs @ A.T
-    with np.errstate(divide="ignore"):
-        t = np.min(np.where(coef > 1e-12, slack[None, :] / coef, np.inf), axis=1)
-    pts = np.vstack([body.vertices, anchor + t[:, None] * dirs])
-
+    pts = _boundary_probes(body, rng.generator(), probes)
     lit = illuminated_mask(body, sources, pts)
     if not lit.all():
         first = int(np.argmax(~lit))
@@ -232,6 +269,8 @@ def run_illumination_pipeline(body: ConvexBody, trials: int, rng: RngSpec,
     """End-to-end pipeline: draw centers in K - K, certify the covering by
     copies of ratio 1 - e, convert certified trials to sources R X_i, and
     run the falsifier on each source set."""
+    if probes < 1:  # checked before any trial: uncertified trials never reach the falsifier
+        raise ValueError("probes must be positive")
     n = body.dim
     ratio = difference_volume_ratio(body, rng.child(0xA))[0]
     m = math.ceil(threshold_sum(n, ratio, 5))

@@ -62,6 +62,8 @@ class CoverExperimentConfig:
             raise ValueError("ratios must lie in (0, 1)")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.probes < 1:
+            raise ValueError("probes must be positive")
         if not self.body.contains_origin_interior:
             raise ValueError("experiment body must contain the origin in its interior")
         floor = math.exp(-n)

@@ -279,6 +279,11 @@ def test_input_errors_exit_2(tmp_path):
     for scale in ("-1", "0", "nan", "inf"):
         assert dispatch(["fn-schedule", "--dim", "2", "--body", "cube", "--lambda", "0.9",
                          "--count", "300", "--scale", scale]) == EXIT_INPUT
+    # a bad probe count fails before any trial, whatever the trials decide
+    assert dispatch(["cover", "--body", "cube", "--dim", "2", "--lambda", "0.9", "--count", "43",
+                     "--trials", "2", "--probes", "-5", "--seed", "3"]) == EXIT_INPUT
+    assert dispatch(["illuminate", "--body", "cube", "--dim", "2", "--trials", "2",
+                     "--epsilon", "0.5", "--probes", "-3", "--seed", "3"]) == EXIT_INPUT
 
 
 def test_ratio_file_is_read(tmp_path):

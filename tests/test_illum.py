@@ -187,6 +187,81 @@ def midpoint_illuminates(body, source, x):
                                           "strictInterior")
 
 
+def reference_probes(body, gen, count):
+    """The falsifier's probes in row form: the vertices, then unit normal
+    directions shot from the Chebyshev center to the first facet crossed."""
+    A, b = body.halfspaces
+    anchor, _ = body.chebyshev
+    dirs = gen.normal(size=(max(count - body.vertices.shape[0], 0), body.dim))
+    norms = np.linalg.norm(dirs, axis=1)
+    dirs = dirs[norms > 1e-12] / norms[norms > 1e-12][:, None]
+    coef = dirs @ A.T
+    with np.errstate(divide="ignore"):
+        t = np.min(np.where(coef > 1e-12, (b - A @ anchor) / coef, np.inf), axis=1)
+    return np.vstack([body.vertices, anchor + t[:, None] * dirs])
+
+
+@PROPERTY_SETTINGS
+@given(any_bodies(), st.integers(0, 2 ** 32 - 1), st.integers(1, 500))
+def test_boundary_probes_keep_their_bits(body, seed, extra):
+    """The column-pass probe builder returns the row form's array bit for
+    bit, from the same generator state; below the vertex count it returns
+    the vertices alone."""
+    nv = body.vertices.shape[0]
+    for count in (1, nv - 1, nv, nv + extra):
+        probes = illum._boundary_probes(body, np.random.default_rng(seed), count)
+        reference = reference_probes(body, np.random.default_rng(seed), count)
+        assert probes.shape == (max(count, nv), body.dim)
+        assert np.array_equal(probes, reference)
+        assert probes.tobytes() == reference.tobytes()
+    assert np.array_equal(illum._boundary_probes(body, np.random.default_rng(seed), 1),
+                          body.vertices)
+
+
+@pytest.mark.parametrize("body", [ConvexBody.cross_polytope(7), ConvexBody.cross_polytope(8),
+                                  ConvexBody.cross_polytope(9)])
+def test_boundary_probes_keep_their_bits_in_high_dimension(body):
+    """From eight coordinates on, numpy sums a row eight-way, not in order;
+    the builder follows it there."""
+    probes = illum._boundary_probes(body, np.random.default_rng(5), 5_000)
+    assert probes.tobytes() == reference_probes(body, np.random.default_rng(5), 5_000).tobytes()
+
+
+def face_points(body):
+    """Vertices, then the centroid of the vertices shared by each pair of
+    facets (ridges and lower faces), then each facet's centroid (its
+    relative interior, where one facet is active)."""
+    A, b = body.halfspaces
+    on = body.vertices @ A.T >= b - BOUNDARY_TOL  # (vertices, facets)
+    shared = [on[:, i] & on[:, j] for i, j in itertools.combinations(range(b.size), 2)]
+    faces = [body.vertices[m].mean(axis=0) for m in shared if m.any()]
+    facets = [body.vertices[on[:, i]].mean(axis=0) for i in range(b.size)]
+    return np.vstack([body.vertices] + faces + facets)
+
+
+@PROPERTY_SETTINGS
+@given(any_bodies(), st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+def test_illuminated_mask_against_dense_facet_oracle(body, seed, n_sources):
+    """Several sources against the facet rule written out per (point,
+    source, facet): a point is lit when, for some source, every facet
+    active at it has a_i . p > b_i + INTERIOR_MARGIN."""
+    rng = np.random.default_rng(seed)
+    A, b = body.halfspaces
+    anchor, _ = body.chebyshev
+    pts = face_points(body)
+    outer = np.linalg.norm(body.vertices - anchor, axis=1).max()
+    dirs = rng.normal(size=(n_sources, body.dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    positions = anchor + outer * rng.uniform(1.1, 4.0, size=(n_sources, 1)) * dirs
+    active = pts @ A.T >= b - BOUNDARY_TOL  # (points, facets)
+    beyond = positions @ A.T > b + INTERIOR_MARGIN  # (sources, facets)
+    per_source = np.all(~active[:, None, :] | beyond[None, :, :], axis=2)
+    n_active = active.sum(axis=1)
+    assert (n_active == 1).any() and (n_active > 1).any()  # both branches of the mask
+    sources = [LightSource(pos) for pos in positions]
+    assert np.array_equal(illuminated_mask(body, sources, pts), per_source.any(axis=1))
+
+
 def test_illuminated_mask_matches_scalar(np_rng):
     src = LightSource(np.array([2.0, 0.7]))
     dirs = np_rng.normal(size=(200, 2))
@@ -221,12 +296,7 @@ def test_facet_rule_against_window_rule(body, seed):
     rng = np.random.default_rng(seed)
     A, b = body.halfspaces
     anchor, _ = body.chebyshev
-    dirs = rng.normal(size=(200, body.dim))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    coef = dirs @ A.T
-    with np.errstate(divide="ignore"):
-        t = np.min(np.where(coef > 1e-12, (b - A @ anchor) / coef, np.inf), axis=1)
-    pts = np.vstack([body.vertices, anchor + t[:, None] * dirs])
+    pts = reference_probes(body, rng, body.vertices.shape[0] + 200)
     outer = np.linalg.norm(body.vertices - anchor, axis=1).max()
     src_dirs = rng.normal(size=(4, body.dim))
     src_dirs /= np.linalg.norm(src_dirs, axis=1)[:, None]
