@@ -284,14 +284,11 @@ def covered_by_union(body: ConvexBody, placements: Homothets | Sequence[Homothet
     """Boolean mask: which points lie in the union of (possibly shrunken)
     homothets of ``body``; ``first_cover(...) >= 0``.
 
-    Homothets whose shrunken ratio is <= 0 cover nothing.  Large point sets
-    are chunked across the configured worker threads.
+    Homothets whose shrunken ratio is <= 0 cover nothing.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    family = Homothets.of(placements)  # once, not per worker chunk
-    body.halfspaces  # populate the cache before any thread fan-out
     return runtime.chunked_mask(
-        lambda chunk: first_cover(body, family, chunk, shrink) >= 0, pts)
+        lambda chunk: first_cover(body, placements, chunk, shrink) >= 0, pts)
 
 
 def first_cover(body: ConvexBody, placements: Homothets | Sequence[HomothetPlacement],

@@ -309,15 +309,16 @@ def _emit(args, payload: dict) -> list:
 
 def _common_flags(p: argparse.ArgumentParser, threads: bool = False) -> None:
     """--body, --dim, --seed and --out; --threads only where the command's
-    coverage tests reach the worker threads (``runtime.chunked_mask``)."""
+    coverage tests reach ``runtime.chunked_mask``."""
     p.add_argument("--body", required=True,
                    help="cube | simplex | crosspolytope | path to body JSON")
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     if threads:
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for probe partitioning, at most the usable "
-                            "CPUs (default: HOMCOVER_THREADS, else all of them)")
+                       help="accepted and validated (a negative count is an input "
+                            "error) but starts no thread: every coverage test runs "
+                            "on the calling thread, and results never depended on it")
     p.add_argument("--out", default=None, help="write the JSON result here")
 
 

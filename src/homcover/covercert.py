@@ -69,7 +69,7 @@ def certify_cover(body: ConvexBody, placements: Homothets | Sequence[HomothetPla
     A prebuilt net for the same body and epsilon may be passed to amortize
     construction across many placement draws.
     """
-    family = Homothets.of(placements)  # once, not per worker chunk
+    family = Homothets.of(placements)
     if not family.ratios.size:
         raise ValueError("placements must be nonempty")
     if not 0.0 < epsilon <= 1.0:
@@ -81,7 +81,6 @@ def certify_cover(body: ConvexBody, placements: Homothets | Sequence[HomothetPla
     pieces = pieces_body if pieces_body is not None else body
     shrink = epsilon * cover_factor(body, pieces)
 
-    pieces.halfspaces  # populate the cache before any thread fan-out
     assignment = runtime.chunked_mask(
         lambda chunk: first_cover(pieces, family, chunk, shrink), net.points)
     if assignment.min() >= 0:

@@ -1,25 +1,27 @@
-"""Worker-count plumbing for probe-heavy loops.
+"""The one seam where coverage masks are evaluated, and the thread-count setting.
 
-Point sets are chunked and evaluated on a thread pool (numpy releases the
-GIL inside the big matmuls); chunks are concatenated in order, so results
-are identical to the sequential path.
+Every mask runs on the calling thread.  The coverage kernel walks points in
+many small numpy calls that hold the GIL, so splitting a point set across
+threads made it slower, never faster.  The thread count is still parsed and
+validated (``--threads``, ``HOMCOVER_THREADS``) but starts no thread, and no
+result ever depended on it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 _ENV_VAR = "HOMCOVER_THREADS"
 _threads = None
 
+# unused here; perfbench's trace hook reads it to flag large mask calls
 _PARALLEL_MIN_POINTS = 50_000
 
 
 def get_threads() -> int:
-    """Worker count: set_threads, else HOMCOVER_THREADS, else every usable
+    """Thread count: set_threads, else HOMCOVER_THREADS, else every usable
     CPU; never more than the usable CPUs.  A HOMCOVER_THREADS that is not
     a nonnegative integer raises ValueError."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
@@ -36,7 +38,7 @@ def get_threads() -> int:
 
 
 def set_threads(count) -> None:
-    """Pin the worker count; None or 0 restores the default."""
+    """Pin the thread count; None or 0 restores the default."""
     global _threads
     if count is not None and int(count) < 0:
         raise ValueError(f"thread count must be nonnegative, got {count}")
@@ -44,12 +46,5 @@ def set_threads(count) -> None:
 
 
 def chunked_mask(fn, points: np.ndarray) -> np.ndarray:
-    """Evaluate a points -> per-point array function, chunk-parallel when large."""
-    n_threads = get_threads()
-    m = points.shape[0]
-    if n_threads <= 1 or m < _PARALLEL_MIN_POINTS:
-        return fn(points)
-    chunks = np.array_split(points, n_threads)
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        parts = list(pool.map(fn, chunks))
-    return np.concatenate(parts)
+    """Evaluate a points -> per-point array function on the calling thread."""
+    return fn(points)

@@ -272,7 +272,7 @@ def test_input_errors_exit_2(tmp_path):
     assert dispatch(["nonsense"]) == EXIT_INPUT
     assert dispatch(["cover", "--dim", "2", "--body", "cube", "--lambda", "0.5", "--count", "9",
                      "--threads", "-1"]) == EXIT_INPUT
-    # --threads only on the commands whose coverage tests use worker threads
+    # --threads only on the commands whose coverage tests reach runtime.chunked_mask
     for command in ("volume", "net", "bounds"):
         assert dispatch([command, "--dim", "2", "--body", "cube", "--threads", "1"]) == EXIT_INPUT
     # the desk-mode multiplier must be finite and positive
@@ -346,6 +346,23 @@ PINNED_FN_SCHEDULE = [
 def test_fn_schedule_bytes_are_pinned(tmp_path, flags, out_sha, cert_sha):
     out, cert = tmp_path / "plan.json", tmp_path / "cert.json"
     assert dispatch(["fn-schedule", "--body", "cube", "--dim", "2", *flags,
+                     "--out", str(out), "--certificate", str(cert)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_sha
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == cert_sha
+
+
+def test_fn_schedule_starts_no_thread(tmp_path, monkeypatch):
+    # branch B marks over 169,000 points at once: with --threads 2 that call
+    # once split across a thread pool; now every mask runs on the calling thread
+    import threading
+
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    flags, out_sha, cert_sha = PINNED_FN_SCHEDULE[1]
+    out, cert = tmp_path / "plan.json", tmp_path / "cert.json"
+    assert dispatch(["fn-schedule", "--body", "cube", "--dim", "2", *flags, "--threads", "2",
                      "--out", str(out), "--certificate", str(cert)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == out_sha
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == cert_sha
