@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import lpcore, runtime
+from . import lpcore
 
 INTERIOR_MARGIN = 1e-7
 MEMBERSHIP_TOL = 1e-9
@@ -286,9 +286,7 @@ def covered_by_union(body: ConvexBody, placements: Homothets | Sequence[Homothet
 
     Homothets whose shrunken ratio is <= 0 cover nothing.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return runtime.chunked_mask(
-        lambda chunk: first_cover(body, placements, chunk, shrink) >= 0, pts)
+    return first_cover(body, placements, points, shrink) >= 0
 
 
 def first_cover(body: ConvexBody, placements: Homothets | Sequence[HomothetPlacement],
@@ -411,6 +409,8 @@ class MinkowskiCombo:
     minus_coeff: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.plus_coeff) and np.isfinite(self.minus_coeff)):
+            raise ValueError("combination coefficients must be finite")
         if self.plus_coeff < 0 or self.minus_coeff < 0:
             raise ValueError("combination coefficients must be nonnegative")
         if self.plus_coeff + self.minus_coeff <= 0:

@@ -308,8 +308,8 @@ def _emit(args, payload: dict) -> list:
 
 
 def _common_flags(p: argparse.ArgumentParser, threads: bool = False) -> None:
-    """--body, --dim, --seed and --out; --threads only where the command's
-    coverage tests reach ``runtime.chunked_mask``."""
+    """--body, --dim, --seed and --out; --threads (accepted, validated and
+    ignored) only on the commands that test coverage."""
     p.add_argument("--body", required=True,
                    help="cube | simplex | crosspolytope | path to body JSON")
     p.add_argument("--dim", type=int, default=None)
@@ -402,7 +402,6 @@ def dispatch(argv) -> int:
     started = time.time()
     try:
         runtime.set_threads(getattr(args, "threads", None))
-        runtime.get_threads()  # a malformed HOMCOVER_THREADS fails here, before any work
         outputs = args.func(args)
     except _VerificationFailed:
         return EXIT_VERIFY

@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import runtime
 from .bodies import (
     MEMBERSHIP_TOL,
     ConvexBody,
@@ -81,8 +80,7 @@ def certify_cover(body: ConvexBody, placements: Homothets | Sequence[HomothetPla
     pieces = pieces_body if pieces_body is not None else body
     shrink = epsilon * cover_factor(body, pieces)
 
-    assignment = runtime.chunked_mask(
-        lambda chunk: first_cover(pieces, family, chunk, shrink), net.points)
+    assignment = first_cover(pieces, family, net.points, shrink)
     if assignment.min() >= 0:
         return CoverageVerdict(CERTIFIED, epsilon, shrink=shrink,
                                assignment=assignment, net=net)

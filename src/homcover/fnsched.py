@@ -150,6 +150,8 @@ def dyadic_plan(seq: RatioSequence, n: int, *, body_volume: float,
     for k in sorted(classes):
         idx = classes[k]
         cube_vol = (2.0 * 2.0 ** (-k + 1) * tile_scale) ** n
+        if cube_vol == 0.0:  # ratios below about 1e-163 in R^2
+            raise CubeAssignmentDeficit(f"class {k}: dyadic cube volume underflows to 0")
         class_vol = sum(seq.ratios[i] ** n for i in idx) * body_volume
         f_k = int(math.floor(class_vol / (rogers_factor(n, 6, mode, multiplier) * cube_vol)))
         budgets[k] = f_k

@@ -304,8 +304,11 @@ def mc_volume(combo: MinkowskiCombo, rng: RngSpec, samples: int) -> VolumeEstima
     Deterministic for a fixed RngSpec."""
     if samples < 1000:
         raise ValueError("need at least 1000 samples for a meaningful interval")
-    lo, hi = bounding_box(combo)
-    box_vol = float(np.prod(hi - lo))
+    with np.errstate(over="ignore"):  # an overflowing box is rejected below
+        lo, hi = bounding_box(combo)
+        box_vol = float(np.prod(hi - lo))
+    if not np.isfinite(box_vol):
+        raise ValueError("the combination's bounding box is not finite")
     hits = 0
     for pts in _proposals(rng, lo, hi, 65536, 65536, total=samples):
         hits += int(np.count_nonzero(combo_contains(combo, pts)))

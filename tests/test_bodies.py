@@ -23,6 +23,8 @@ from test_properties import dense_first_cover
 
 
 TRIANGLE = ConvexBody.from_vertices([[0, 0], [1, 0], [0, 1]])
+# a point set this large sends first_cover down its grid path
+LARGE_POINT_SET = 50_000
 
 
 def test_contains_examples():
@@ -174,12 +176,10 @@ def test_spec_roundtrip():
 
 
 def test_union_cover_of_a_large_point_set_matches_dense_oracle(np_rng):
-    from homcover import runtime
-
     cube = ConvexBody.cube(2)
     placements = [HomothetPlacement(np_rng.uniform(-1, 1, 2), 0.4) for _ in range(30)]
     pts = np_rng.uniform(-1, 1, size=(60_000, 2))
-    assert pts.shape[0] >= runtime._PARALLEL_MIN_POINTS
+    assert pts.shape[0] >= LARGE_POINT_SET
     mask = covered_by_union(cube, placements, pts)
     assert np.array_equal(mask, dense_first_cover(cube, placements, pts, 0.0) >= 0)
 

@@ -263,6 +263,10 @@ def test_numeric_failures_exit_3(tmp_path):
     code = dispatch(["net", "--body", "cube", "--dim", "3", "--epsilon", "0.001",
                      "--out", str(tmp_path / "net.json")])
     assert code == EXIT_NUMERIC
+    # ratios this small leave a dyadic class whose cube volume underflows to 0
+    for ratio, count in (("1e-300", "5"), ("5e-324", "3")):
+        assert dispatch(["fn-schedule", "--body", "cube", "--dim", "2", "--lambda", ratio,
+                         "--count", count, "--out", str(tmp_path / "plan.json")]) == EXIT_NUMERIC
 
 
 def test_input_errors_exit_2(tmp_path):
@@ -272,9 +276,12 @@ def test_input_errors_exit_2(tmp_path):
     assert dispatch(["nonsense"]) == EXIT_INPUT
     assert dispatch(["cover", "--dim", "2", "--body", "cube", "--lambda", "0.5", "--count", "9",
                      "--threads", "-1"]) == EXIT_INPUT
-    # --threads only on the commands whose coverage tests reach runtime.chunked_mask
+    # --threads only on the commands that test coverage
     for command in ("volume", "net", "bounds"):
         assert dispatch([command, "--dim", "2", "--body", "cube", "--threads", "1"]) == EXIT_INPUT
+    # the combination's coefficients and its bounding box must be finite
+    for coeffs in (["--plus", "nan"], ["--minus", "inf"], ["--plus", "1e308", "--minus", "1e308"]):
+        assert dispatch(["volume", "--body", "cube", "--dim", "2", *coeffs]) == EXIT_INPUT
     # the desk-mode multiplier must be finite and positive
     for scale in ("-1", "0", "nan", "inf"):
         assert dispatch(["fn-schedule", "--dim", "2", "--body", "cube", "--lambda", "0.9",
@@ -304,14 +311,6 @@ def test_malformed_ratio_files_exit_2(tmp_path, content):
     out = tmp_path / "plan.json"
     assert dispatch(["fn-schedule", "--body", "cube", "--dim", "2", "--ratios", str(ratios),
                      "--out", str(out)]) == EXIT_INPUT
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["two", "1.5", "-3"])
-def test_bad_thread_env_exits_2(monkeypatch, tmp_path, value):
-    monkeypatch.setenv("HOMCOVER_THREADS", value)
-    out = tmp_path / "bounds.json"
-    assert dispatch(["bounds", "--dim", "2", "--body", "cube", "--out", str(out)]) == EXIT_INPUT
     assert not out.exists()
 
 

@@ -1,7 +1,7 @@
 """Property tests on random vertex bodies in R^2..R^4 and the special kinds:
 the H-representation fast paths against LP oracles, the coverage kernel
-against a dense membership matrix (also on point sets of
-``runtime._PARALLEL_MIN_POINTS`` or more), sampler batch-size invariance,
+against a dense membership matrix (also on point sets of 50,000 or more,
+which take its grid path), sampler batch-size invariance,
 the patch pass against a quadratic greedy, the vectorised Philox and
 multi-stream draws against numpy's generator and the one-stream sampler,
 the grouped grid against its one-slab form, the soundness of decided
@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
-from homcover import bodies, fnsched, nets, randvol, runtime
+from homcover import bodies, fnsched, nets, randvol
 from homcover.bodies import MEMBERSHIP_TOL, ConvexBody, HomothetPlacement, Homothets, \
     MinkowskiCombo, bounding_box, combo_contains, combo_contains_lp, covered_by_union, first_cover, \
     random_vrep_body
@@ -33,6 +33,8 @@ from homcover.randvol import RejectionTooSlow, RngSpec, RngStreams, _philox_rand
     first_points, sample_first, sample_uniform
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
+# a point set this large sends first_cover down its grid path
+LARGE_POINT_SET = 50_000
 
 
 @st.composite
@@ -180,8 +182,8 @@ def test_coverage_of_large_point_sets_matches_dense_oracle(seed):
     placements = lattice + random_placements(square, rng, 30)
     placements = [placements[i] for i in rng.permutation(len(placements))]
     net = build_net(square, 0.004)
-    probes = rng.uniform(-1.0, 1.0, size=(runtime._PARALLEL_MIN_POINTS + 1000, 2))
-    assert net.size > runtime._PARALLEL_MIN_POINTS
+    probes = rng.uniform(-1.0, 1.0, size=(LARGE_POINT_SET + 1000, 2))
+    assert net.size > LARGE_POINT_SET
     mask = covered_by_union(square, placements, probes, 0.1)
     assert np.array_equal(mask, dense_first_cover(square, placements, probes, 0.1) >= 0)
     verdict = certify_cover(square, placements, 0.004, net=net)

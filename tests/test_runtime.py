@@ -1,13 +1,17 @@
 import os
+import threading
+
+import pytest
 
 from homcover import runtime
 
 
-def test_thread_count_from_env_and_clamped_to_usable_cpus(monkeypatch):
-    monkeypatch.setenv("HOMCOVER_THREADS", "1")
-    assert runtime.get_threads() == 1
-    try:
-        runtime.set_threads(10 ** 6)  # only read back, never used to start threads
-        assert runtime.get_threads() == len(os.sched_getaffinity(0))
-    finally:
-        runtime.set_threads(None)
+def test_set_threads_validates_and_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for count in (None, 0, 1, len(os.sched_getaffinity(0))):
+        runtime.set_threads(count)
+    with pytest.raises(ValueError):
+        runtime.set_threads(-1)

@@ -1,7 +1,7 @@
 """Per-call numbers for the coverage kernel, ``bodies.first_cover``.
 
 Runs fn-schedule branch B (the cube in R^2, desk mode, ``--lambda 0.03
---count 13000 --scale 8 --epsilon 0.003 --seed 902``, one thread) once,
+--count 13000 --scale 8 --epsilon 0.003 --seed 902``) once,
 captures every ``first_cover`` call it makes (nine marking calls, nine
 per-cube certificates and the final certificate), and replays each call
 alone: the median of 7 timings and the tracemalloc peak.
@@ -28,7 +28,7 @@ import tracemalloc
 import numpy as np
 
 import homcover
-from homcover import bodies, cli, covercert, nets, runtime
+from homcover import bodies, cli, covercert, nets
 
 OUT = "BENCH_kernel.json"
 REPEATS = 7
@@ -88,7 +88,6 @@ def measure(body, family, points, shrink) -> dict:
 
 
 def main() -> None:
-    runtime.set_threads(1)
     calls = [measure(*call) for call in capture_calls()]
     run = {"source": source_hash(), "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
            "numpy": np.__version__, "calls": calls,
