@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .bodies import ConvexBody, HomothetPlacement, Homothets, MinkowskiCombo
 from .covercert import CoverageVerdict, certify_cover, decide_cover, refute_cover
 from .fnsched import RatioSequence, cover_cube_two_phase, dyadic_plan, schedule_covering
-from .illum import LightSource, covering_to_illumination, illuminates, run_illumination_pipeline, verify_illumination
+from .illum import covering_to_illumination, illuminates, run_illumination_pipeline, verify_illumination
 from .nets import EpsNet, build_net, default_epsilon
 from .randcover import CoverExperimentConfig, reference_bounds, run_random_cover, threshold_sum
 from .randvol import RngSpec, VolumeEstimate, exact_volume, mc_volume, sample_uniform
@@ -19,7 +19,7 @@ __all__ = [
     "ConvexBody", "HomothetPlacement", "Homothets", "MinkowskiCombo",
     "CoverageVerdict", "certify_cover", "decide_cover", "refute_cover",
     "RatioSequence", "cover_cube_two_phase", "dyadic_plan", "schedule_covering",
-    "LightSource", "covering_to_illumination", "illuminates",
+    "covering_to_illumination", "illuminates",
     "run_illumination_pipeline", "verify_illumination",
     "EpsNet", "build_net", "default_epsilon",
     "CoverExperimentConfig", "reference_bounds", "run_random_cover", "threshold_sum",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,7 +42,7 @@ SIMPLEX = "simplex"
 CROSSPOLYTOPE = "crosspolytope"
 VREP = "vrep"
 
-_SYMMETRIC_KINDS = (CUBE, CROSSPOLYTOPE)
+SYMMETRIC_KINDS = (CUBE, CROSSPOLYTOPE)  # the origin-symmetric special kinds
 
 
 def _hull_hrep(points: np.ndarray):
@@ -278,6 +278,10 @@ class Homothets:
         return cls(np.array(centers, dtype=float) if centers else np.empty((0, 0)),
                    [pl.ratio for pl in placements])
 
+    def __iter__(self) -> Iterator[HomothetPlacement]:
+        """The copies as ``HomothetPlacement`` rows, built as they are asked for."""
+        return map(HomothetPlacement, self.centers, self.ratios.tolist())
+
 
 def covered_by_union(body: ConvexBody, placements: Homothets | Sequence[HomothetPlacement],
                      points, shrink: float = 0.0):
@@ -434,7 +438,7 @@ class MinkowskiCombo:
             return A, a * b
         if a == 0.0:
             return -A, c * b
-        if body.kind in _SYMMETRIC_KINDS:
+        if body.kind in SYMMETRIC_KINDS:
             return A, (a + c) * b
         key = (1.0, c / a)
         if key not in body._hreps:

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, fnsched, illum, lpcore, nets, randcover, randvol, runtime
-from .bodies import ConvexBody, MinkowskiCombo
+from .bodies import CROSSPOLYTOPE, CUBE, SIMPLEX, SYMMETRIC_KINDS, ConvexBody, MinkowskiCombo
 from .covercert import encode_column, recheck_certificate
 from .fnsched import RatioSequence
 from .randcover import CoverExperimentConfig
@@ -97,7 +97,7 @@ def _write_manifest(command: str, args_echo: dict, seed: Optional[int],
 
 
 def _load_body(name_or_path: str, dim: Optional[int]) -> ConvexBody:
-    if name_or_path in ("cube", "simplex", "crosspolytope"):
+    if name_or_path in (CUBE, SIMPLEX, CROSSPOLYTOPE):
         if dim is None:
             raise ValueError("--dim is required with a named body")
         return ConvexBody.from_spec({"kind": name_or_path, "dim": dim})
@@ -262,7 +262,7 @@ def _cmd_fn_schedule(args) -> list:
 
 def _cmd_bounds(args) -> list:
     body = _load_body(args.body, args.dim)
-    symmetric = body.kind in ("cube", "crosspolytope")
+    symmetric = body.kind in SYMMETRIC_KINDS
     ratio, _ = randvol.difference_volume_ratio(body, RngSpec(args.seed))
     table = randcover.reference_bounds(body.dim, ratio, symmetric)
     payload = {"schemaVersion": SCHEMA_VERSION, "body": body.to_spec(),

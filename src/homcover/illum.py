@@ -8,13 +8,14 @@ Facet rule.  For K = {A x <= b} (unit facet normals a_i), p illuminates x
 exactly when a_i . p > b_i for every facet i active at x (a_i . x = b_i).
 Proof: an inactive facet keeps its slack for a small step, and an active
 facet's value moves by t a_i . (x - p) = t (b_i - a_i . p), which must be
-negative.  A source set lights x when one of its sources does.
+negative.  A source set, a (count, n) array of positions outside K, lights
+x when one of its sources does.
 
 Both tolerances err toward "not lit".  A facet counts as active when it lies
 within BOUNDARY_TOL of x, which only adds conditions; a source counts as
 beyond a facet only by more than INTERIOR_MARGIN, which only removes
 sources.  Both exceed the rounding of the products, so every point called
-lit is lit.
+lit is lit.  A non-finite source would clear every facet and is rejected.
 
 Conversion from coverings: if homothets x_i + (1 - e) K cover K, the
 points R x_i illuminate K for any R > 1/e.  Centers whose scaled position
@@ -50,26 +51,23 @@ class ConversionRequiresCertificate(RuntimeError):
     """covering_to_illumination refuses placements without a Certified verdict."""
 
 
-@dataclass(frozen=True)
-class LightSource:
-    position: np.ndarray
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        pos.setflags(write=False)
-        object.__setattr__(self, "position", pos)
-
-
-def _positions(body: ConvexBody, sources: Sequence[LightSource]) -> np.ndarray:
-    return np.array([src.position for src in sources], dtype=float).reshape(
-        len(sources), body.dim)
-
-
-def validate_sources(body: ConvexBody, sources: Sequence[LightSource]) -> None:
-    positions = _positions(body, sources)
+def validate_sources(body: ConvexBody, sources) -> np.ndarray:
+    """The sources as a (count, n) float array of finite positions outside
+    the body, an empty list being no source; any other shape raises ValueError."""
+    positions = np.asarray(sources, dtype=float)
+    if positions.shape == (0,):
+        positions = positions.reshape(0, body.dim)
+    if positions.shape[1:] != (body.dim,) or not np.isfinite(positions).all():
+        raise ValueError(f"light sources must be a finite (count, {body.dim}) array")
     inside = body.contains(positions, "closed")
     if inside.any():
         raise ValueError(f"light source {positions[np.argmax(inside)]} lies inside the body")
+    return positions
+
+
+def _on_boundary(body: ConvexBody, x: np.ndarray) -> bool:
+    A, b = body.halfspaces
+    return abs(float(np.max(A @ x - b))) <= BOUNDARY_TOL
 
 
 @dataclass(eq=False)
@@ -80,12 +78,12 @@ class IlluminationVerdict:
     probes_used: int = 0
 
 
-def illuminated_mask(body: ConvexBody, sources: Sequence[LightSource], points) -> np.ndarray:
+def illuminated_mask(body: ConvexBody, sources: np.ndarray, points) -> np.ndarray:
     """For each boundary point, whether some source lights it (the facet rule)."""
     A, b = body.halfspaces
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     active = (pts @ A.T >= b - BOUNDARY_TOL).astype(float)  # (points, facets)
-    short = (_positions(body, sources) @ A.T <= b + INTERIOR_MARGIN).astype(float)
+    short = (sources @ A.T <= b + INTERIOR_MARGIN).astype(float)
     # active @ short.T counts, per point and source, the active facets the
     # source is not beyond (sums of 0/1 are exact).  A point with one active
     # facet needs only the facet's minimum over the sources.
@@ -95,22 +93,18 @@ def illuminated_mask(body: ConvexBody, sources: Sequence[LightSource], points) -
     return lit
 
 
-def illuminates(body: ConvexBody, source: LightSource, point) -> bool:
-    """Single-point illumination predicate with input validation; it
-    decides with `illuminated_mask`, the predicate the falsifier uses."""
+def illuminates(body: ConvexBody, source, point) -> bool:
+    """Single-point illumination predicate for one source position, with
+    input validation; it decides with `illuminated_mask`, as the falsifier does."""
     x = np.asarray(point, dtype=float)
-    A, b = body.halfspaces
-    facet_gap = float(np.max(A @ x - b))
-    if abs(facet_gap) > BOUNDARY_TOL:
+    if not _on_boundary(body, x):
         raise ValueError("point is not on the boundary within tolerance")
-    if body.contains(source.position, "closed"):
-        raise ValueError("source must lie outside the body")
-    return bool(illuminated_mask(body, [source], x[None, :])[0])
+    return bool(illuminated_mask(body, validate_sources(body, [source]), x[None, :])[0])
 
 
 @dataclass(eq=False)
 class ConversionResult:
-    sources: list
+    sources: np.ndarray  # (count, n) positions
     r_used: float
     verdict: CoverageVerdict
     dropped_interior: int
@@ -122,7 +116,7 @@ def covering_to_illumination(body: ConvexBody,
                              verdict: CoverageVerdict) -> ConversionResult:
     """Turn a covering by copies of ratio 1 - epsilon_cover, which
     ``verdict`` certifies, into light sources R * x_i with
-    R = 1/epsilon_cover + R_MARGIN."""
+    R = 1/epsilon_cover + R_MARGIN, the rows of ``sources``."""
     if not 0.0 < epsilon_cover < 1.0:
         raise ValueError("epsilon_cover must be in (0, 1); R would be infinite at 0")
     family = Homothets.of(placements)
@@ -134,8 +128,7 @@ def covering_to_illumination(body: ConvexBody,
     r_used = 1.0 / epsilon_cover + R_MARGIN
     positions = r_used * family.centers.reshape(family.ratios.size, body.dim)
     inside = body.contains(positions, "closed")
-    return ConversionResult(sources=[LightSource(pos) for pos in positions[~inside]],
-                            r_used=r_used, verdict=verdict,
+    return ConversionResult(sources=positions[~inside], r_used=r_used, verdict=verdict,
                             dropped_interior=int(np.count_nonzero(inside)))
 
 
@@ -189,7 +182,7 @@ def _boundary_probes(body: ConvexBody, gen: np.random.Generator, count: int) -> 
     return pts
 
 
-def verify_illumination(body: ConvexBody, sources: Sequence[LightSource],
+def verify_illumination(body: ConvexBody, sources,
                         rng: RngSpec, probes: int,
                         certificate: Optional[CoverageVerdict] = None,
                         r_used: Optional[float] = None) -> IlluminationVerdict:
@@ -203,7 +196,7 @@ def verify_illumination(body: ConvexBody, sources: Sequence[LightSource],
     """
     if probes < 1:
         raise ValueError("probes must be positive")
-    validate_sources(body, sources)
+    sources = validate_sources(body, sources)
     pts = _boundary_probes(body, rng.generator(), probes)
     lit = illuminated_mask(body, sources, pts)
     if not lit.all():
@@ -215,14 +208,14 @@ def verify_illumination(body: ConvexBody, sources: Sequence[LightSource],
     return IlluminationVerdict(status, r_used=r_used, probes_used=pts.shape[0])
 
 
-def illumination_to_dict(body: ConvexBody, sources: Sequence[LightSource],
+def illumination_to_dict(body: ConvexBody, sources: np.ndarray,
                          verdict: IlluminationVerdict) -> dict:
     out = {
         "schemaVersion": 1,
         "type": "illumination",
         "status": verdict.status,
         "body": body.to_spec(),
-        "sources": [src.position.tolist() for src in sources],
+        "sources": sources.tolist(),
     }
     if verdict.witness is not None:
         out["witness"] = np.asarray(verdict.witness).tolist()
@@ -233,21 +226,22 @@ def illumination_to_dict(body: ConvexBody, sources: Sequence[LightSource],
 
 def recheck_illumination_certificate(cert: dict) -> bool:
     """Replay the claims of a serialized illumination verdict: sources are
-    external, and a falsifying witness is a boundary point no source lights."""
+    finite and external, and a falsifying witness is a boundary point no
+    source lights.  Sources that are not numbers in a list raise TypeError."""
     if cert.get("type") != "illumination":
         return False
     body = ConvexBody.from_spec(cert["body"])
-    sources = [LightSource(np.array(p)) for p in cert["sources"]]
     try:
-        validate_sources(body, sources)
+        positions = np.array(cert["sources"])  # ragged rows raise ValueError
+        if positions.ndim == 0 or positions.dtype.kind not in "biuf":
+            raise TypeError("sources must be a list of positions")
+        sources = validate_sources(body, positions)
     except ValueError:
         return False
     if cert["status"] == FALSIFIED:
         witness = np.array(cert["witness"])
-        A, b = body.halfspaces
-        if abs(float(np.max(A @ witness - b))) > BOUNDARY_TOL:
-            return False
-        return not illuminated_mask(body, sources, witness[None, :])[0]
+        return _on_boundary(body, witness) and \
+            not illuminated_mask(body, sources, witness[None, :])[0]
     return True
 
 
@@ -283,12 +277,12 @@ def run_illumination_pipeline(body: ConvexBody, trials: int, rng: RngSpec,
     certified = verified = falsified = 0
     rows = []
     r_used = 1.0 / epsilon_cover + R_MARGIN
-    for t, placements, verdict in iter_trials(config):
+    for t, family, verdict in iter_trials(config):
         if verdict.status != CERTIFIED:
             rows.append((t, verdict.status, None))
             continue
         certified += 1
-        conv = covering_to_illumination(body, placements, epsilon_cover, verdict=verdict)
+        conv = covering_to_illumination(body, family, epsilon_cover, verdict=verdict)
         check = verify_illumination(body, conv.sources,
                                     rng.child(t, _FALSIFY_STREAM_TAG), probes,
                                     certificate=verdict, r_used=conv.r_used)

@@ -18,8 +18,9 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import covercert, nets
-from .bodies import ConvexBody, HomothetPlacement, Homothets, MinkowskiCombo
+from .bodies import ConvexBody, Homothets, MinkowskiCombo
 from .covercert import CERTIFIED, REFUTED, UNKNOWN
+from .fnsched import MODE_PAPER, rogers_factor
 from .nets import EpsNet
 from .randvol import RngSpec, difference_volume_ratio, sample_first
 
@@ -32,7 +33,7 @@ def threshold_sum(n: int, volume_ratio: float, constant: int) -> float:
         raise ValueError("n must be >= 2 (ln ln n undefined below)")
     if constant not in (4, 5):
         raise ValueError("constant must be 4 or 5")
-    return (n * math.log(n) + n * math.log(math.log(n)) + constant * n) * volume_ratio
+    return rogers_factor(n, constant, MODE_PAPER) * volume_ratio
 
 
 def experiment_epsilon(n: int, ratios: Sequence[float]) -> float:
@@ -103,7 +104,7 @@ class CoverExperimentReport:
 
 def iter_trials(config: CoverExperimentConfig,
                 net: Optional[EpsNet] = None) -> Iterator[tuple]:
-    """Yield (trial index, placements, verdict) for each trial.
+    """Yield (trial index, the Homothets decided, verdict) for each trial.
 
     Deterministic for a fixed RngSpec: centers come from streams keyed by
     (trial, i), refutation probes from a separate per-trial stream.
@@ -118,12 +119,11 @@ def iter_trials(config: CoverExperimentConfig,
         combos = [by_ratio[lam] for lam in config.ratios]
     copies = np.arange(len(config.ratios))
     for t in range(config.trials):
-        centers = sample_first(combos, config.rng.children(t, copies))
-        placements = [HomothetPlacement(c, lam) for c, lam in zip(centers, config.ratios)]
+        family = Homothets(sample_first(combos, config.rng.children(t, copies)), config.ratios)
         verdict = covercert.decide_cover(
-            body, Homothets(centers, config.ratios), config.epsilon,
+            body, family, config.epsilon,
             config.rng.child(t, _PROBE_STREAM_TAG), config.probes, net=net)
-        yield t, placements, verdict
+        yield t, family, verdict
 
 
 def run_random_cover(config: CoverExperimentConfig,

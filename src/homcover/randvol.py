@@ -29,7 +29,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bodies import ConvexBody, MinkowskiCombo, bounding_box, combo_contains
+from .bodies import (CROSSPOLYTOPE, CUBE, SIMPLEX, SYMMETRIC_KINDS, ConvexBody, MinkowskiCombo,
+                     bounding_box, combo_contains)
 
 _MASK64 = (1 << 64) - 1
 _REJECTION_FLOOR = 1e-6
@@ -327,11 +328,11 @@ def exact_volume(body: ConvexBody) -> float:
     """Closed-form volume for the special kinds: cube (2s)^n, simplex
     s^n / n!, cross-polytope (2s)^n / n!."""
     n, s = body.dim, body.scale
-    if body.kind == "cube":
+    if body.kind == CUBE:
         return (2.0 * s) ** n
-    if body.kind == "simplex":
+    if body.kind == SIMPLEX:
         return s ** n / math.factorial(n)
-    if body.kind == "crosspolytope":
+    if body.kind == CROSSPOLYTOPE:
         return (2.0 * s) ** n / math.factorial(n)
     raise UnsupportedBody(f"no closed-form volume for kind {body.kind!r}")
 
@@ -344,9 +345,9 @@ def difference_volume_ratio(body: ConvexBody, rng: RngSpec | None = None,
     Returns (ratio, estimate) where estimate is None when exact.
     """
     n = body.dim
-    if body.kind in ("cube", "crosspolytope"):
+    if body.kind in SYMMETRIC_KINDS:
         return float(2 ** n), None
-    if body.kind == "simplex" or body.vertices.shape[0] == n + 1:
+    if body.kind == SIMPLEX or body.vertices.shape[0] == n + 1:
         return float(math.comb(2 * n, n)), None
     if rng is None:
         raise ValueError("vertex bodies need an RngSpec for the Monte Carlo ratio")

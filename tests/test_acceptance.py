@@ -17,7 +17,7 @@ from homcover.bodies import ConvexBody, MinkowskiCombo, covered_by_union
 from homcover.cli import EXIT_OK, dispatch
 from homcover.covercert import CERTIFIED, REFUTED, recheck_certificate
 from homcover.fnsched import RatioSequence, schedule_covering
-from homcover.illum import FALSIFIED, UNKNOWN, LightSource, run_illumination_pipeline, verify_illumination
+from homcover.illum import FALSIFIED, UNKNOWN, run_illumination_pipeline, verify_illumination
 from homcover.nets import build_net
 from homcover.randcover import CoverExperimentConfig, iter_trials, run_random_cover, threshold_sum
 from homcover.randvol import RngSpec, exact_volume, mc_volume, sample_uniform_body
@@ -176,8 +176,7 @@ def test_criterion_7_illumination_ground_truth():
     notes = []
     for n in (2, 3):
         body = special("cube", n)
-        sources = [LightSource(np.array(s, dtype=float) * 2.0)
-                   for s in itertools.product((-1, 1), repeat=n)]
+        sources = [np.array(s, dtype=float) * 2.0 for s in itertools.product((-1, 1), repeat=n)]
         full = verify_illumination(body, sources, RngSpec(700 + n), PROBES)
         if full.status != UNKNOWN or full.witness is not None:
             ok = False

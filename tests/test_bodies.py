@@ -257,5 +257,7 @@ def test_homothets_of_stacks_placements():
     family = Homothets.of(placements)
     assert family.centers.tobytes() == np.array([pl.center for pl in placements]).tobytes()
     assert family.ratios.tolist() == [pl.ratio for pl in placements]
+    assert [(pl.center.tolist(), pl.ratio) for pl in family] == \
+        [(pl.center.tolist(), pl.ratio) for pl in placements]
     empty = Homothets.of([])
     assert empty.centers.shape[0] == empty.ratios.size == 0

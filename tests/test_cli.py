@@ -156,6 +156,36 @@ def test_malformed_certificates_exit_2(tmp_path, malform):
     assert dispatch(["verify", "--certificate", str(path)]) == EXIT_INPUT
 
 
+_CORNERS = [[2.0, 2.0], [-2.0, 2.0], [2.0, -2.0], [-2.0, -2.0]]
+
+
+@pytest.mark.parametrize("status,sources,code", [
+    ("unknown", _CORNERS, EXIT_OK),
+    ("falsified", _CORNERS[:3], EXIT_OK),
+    ("unknown", 3.0, EXIT_INPUT),
+    ("unknown", [["a", 0]], EXIT_INPUT),
+    ("unknown", [[3.0, 0.0], [3.0]], EXIT_VERIFY),
+    ("unknown", [[3.0, 0.0, 0.0]], EXIT_VERIFY),
+    ("unknown", [3.0, 0.0], EXIT_VERIFY),
+    ("falsified", _CORNERS[:3] + [[np.nan, np.nan]], EXIT_VERIFY),
+    ("falsified", _CORNERS[:3] + [[-np.inf, -np.inf]], EXIT_VERIFY),
+    ("unknown", _CORNERS + [[np.nan, np.nan]], EXIT_VERIFY),
+    ("unknown", _CORNERS + [[np.inf, 0.0]], EXIT_VERIFY),
+], ids=["corners", "three-corners-falsified", "number", "string", "ragged", "3d-point",
+        "flat", "falsified-nan", "falsified-inf", "unknown-nan", "unknown-inf"])
+def test_verify_illumination_certificate_sources(tmp_path, status, sources, code):
+    """Sources of a JSON type other than numbers in lists exit 2 (``null``:
+    ``test_malformed_certificates_exit_2``); sources of the wrong shape, and
+    non-finite ones, fail replay with exit 4."""
+    cert = {"schemaVersion": 1, "type": "illumination", "status": status,
+            "body": {"kind": "cube", "dim": 2}, "sources": sources}
+    if status == "falsified":
+        cert["witness"] = [-1.0, -1.0]  # the corner the first three sources leave unlit
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert dispatch(["verify", "--certificate", str(path)]) == code
+
+
 def _ratios(cert):
     return decode_column(cert["ratios"], "<f8").copy()
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from homcover.illum import (
     UNKNOWN,
     VERIFIED_BY_COVERING,
     ConversionRequiresCertificate,
-    LightSource,
     covering_to_illumination,
     illuminated_mask,
     illuminates,
@@ -31,38 +32,43 @@ SQUARE = ConvexBody.cube(2)
 
 
 def corner_sources(dim, r=2.0):
-    return [LightSource(np.array(s, dtype=float) * r)
-            for s in itertools.product((-1, 1), repeat=dim)]
+    return [np.array(s, dtype=float) * r for s in itertools.product((-1, 1), repeat=dim)]
 
 
 def test_illuminates_examples():
-    assert illuminates(SQUARE, LightSource(np.array([2.0, 2.0])), [1.0, 1.0])
-    assert not illuminates(SQUARE, LightSource(np.array([2.0, 0.0])), [1.0, 1.0])
-    assert illuminates(SQUARE, LightSource(np.array([2.0, 0.0])), [1.0, 0.0])
+    assert illuminates(SQUARE, np.array([2.0, 2.0]), [1.0, 1.0])
+    assert not illuminates(SQUARE, np.array([2.0, 0.0]), [1.0, 1.0])
+    assert illuminates(SQUARE, np.array([2.0, 0.0]), [1.0, 0.0])
 
 
 def test_illuminates_validates_inputs():
     with pytest.raises(ValueError):
-        illuminates(SQUARE, LightSource(np.array([2.0, 0.0])), [0.5, 0.5])  # interior
+        illuminates(SQUARE, np.array([2.0, 0.0]), [0.5, 0.5])  # interior
     with pytest.raises(ValueError):
-        illuminates(SQUARE, LightSource(np.array([0.5, 0.0])), [1.0, 0.0])  # source inside
+        illuminates(SQUARE, np.array([0.5, 0.0]), [1.0, 0.0])  # source inside
     with pytest.raises(ValueError):
-        validate_sources(SQUARE, [LightSource(np.array([0.0, 0.0]))])
+        validate_sources(SQUARE, [np.array([0.0, 0.0])])
+    for position in ([np.nan, np.nan], [np.inf, 0.0]):  # either would clear every facet
+        with pytest.raises(ValueError):
+            illuminates(SQUARE, position, [1.0, 1.0])
+    with pytest.raises(ValueError):
+        validate_sources(SQUARE, [3.0, 0.0])  # a flat list is not one source per row
+    assert validate_sources(SQUARE, []).shape == (0, 2)
 
 
 def test_illumination_scale_and_permutation_invariance():
     p = np.array([2.0, 0.7])
     x = np.array([1.0, 0.3])
-    base = illuminates(SQUARE, LightSource(p), x)
+    base = illuminates(SQUARE, p, x)
     for s in (0.5, 3.0):
         scaled = ConvexBody.cube(2, scale=s)
-        assert illuminates(scaled, LightSource(s * p), s * x) == base
-    assert illuminates(SQUARE, LightSource(p[::-1].copy()), x[::-1].copy()) == base
+        assert illuminates(scaled, s * p, s * x) == base
+    assert illuminates(SQUARE, p[::-1].copy(), x[::-1].copy()) == base
 
 
 def test_antipodal_source_does_not_light_a_vertex():
     # interior points of that line are all between source and vertex
-    assert not illuminates(SQUARE, LightSource(np.array([-2.0, -2.0])), [1.0, 1.0])
+    assert not illuminates(SQUARE, np.array([-2.0, -2.0]), [1.0, 1.0])
 
 
 def test_square_four_sources_accepted():
@@ -141,17 +147,51 @@ def test_illumination_pipeline_matches_cover_engine_on_shared_seed():
 def test_illumination_certificate_roundtrip():
     sources = corner_sources(2)
     verdict = verify_illumination(SQUARE, sources[:3], RngSpec(2), 50_000)
-    cert = illumination_to_dict(SQUARE, sources[:3], verdict)
+    cert = illumination_to_dict(SQUARE, np.array(sources[:3]), verdict)
     assert recheck_illumination_certificate(cert)
     bad = dict(cert, witness=[0.0, 1.0])  # boundary point lit by remaining sources
     assert not recheck_illumination_certificate(bad)
 
 
-def line_interior_window(body, source, pts, margin=INTERIOR_MARGIN):
+def test_illumination_certificate_bytes_are_pinned(monkeypatch):
+    """The certificate of the one certified trial of illuminate-square's
+    round 0 at seed 101: its sources and verdict, byte for byte."""
+    certs, falsifier = [], illum.verify_illumination
+
+    def recording(body, sources, *args, **kwargs):
+        verdict = falsifier(body, sources, *args, **kwargs)
+        certs.append(illumination_to_dict(body, sources, verdict))
+        return verdict
+
+    monkeypatch.setattr(illum, "verify_illumination", recording)
+    run_illumination_pipeline(SQUARE, trials=1, rng=RngSpec(101, 0))
+    assert [hashlib.sha256(json.dumps(cert, sort_keys=True).encode()).hexdigest()
+            for cert in certs] == \
+        ["233b3ab18328e3d933772d9678a0586f40379f5d87fa36a455207350e9ffdc09"]
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_random_cover(CoverExperimentConfig(
+        body=SQUARE, ratios=[0.9] * 16, trials=4, rng=RngSpec(13), epsilon=0.05,
+        probes=2000)).certified,
+    lambda: run_illumination_pipeline(SQUARE, trials=3, rng=RngSpec(31),
+                                      probes=2000).covering_certified,
+], ids=["random-cover", "illumination-pipeline"])
+def test_trials_build_no_per_copy_objects(monkeypatch, run):
+    """Trials hand their copies on as one Homothets, from the sampler to
+    the light sources: no HomothetPlacement is constructed."""
+    built = []
+    check = HomothetPlacement.__post_init__
+    monkeypatch.setattr(HomothetPlacement, "__post_init__",
+                        lambda self: (built.append(self), check(self)))
+    assert run() > 0  # certified trials reach the conversion
+    assert built == []
+
+
+def line_interior_window(body, p, pts, margin=INTERIOR_MARGIN):
     """Per point x, the open parameter window where p + s (x - p) is
     interior with the given margin, as arrays (s_lo, s_hi, ok)."""
     A, b = body.halfspaces
-    p = source.position
     coef = (pts - p) @ A.T  # (N, f)
     bound = (b - margin - A @ p)[None, :]
     pos = coef > 1e-12
@@ -171,12 +211,11 @@ def window_lit(body, source, pts, margin=INTERIOR_MARGIN):
     return ok & ((s_hi > 1.0 + 1e-9) | (s_lo < -1e-9))
 
 
-def midpoint_illuminates(body, source, x):
+def midpoint_illuminates(body, p, x):
     """Scalar oracle: a parameter from the admissible side of the interior
     window along the line through the source and x, re-checked to be
     strictly interior."""
-    p = source.position
-    s_lo, s_hi, ok = line_interior_window(body, source, x[None, :])
+    s_lo, s_hi, ok = line_interior_window(body, p, x[None, :])
     s_lo, s_hi = float(s_lo[0]), float(s_hi[0])
     if not ok[0]:
         return False
@@ -258,12 +297,11 @@ def test_illuminated_mask_against_dense_facet_oracle(body, seed, n_sources):
     per_source = np.all(~active[:, None, :] | beyond[None, :, :], axis=2)
     n_active = active.sum(axis=1)
     assert (n_active == 1).any() and (n_active > 1).any()  # both branches of the mask
-    sources = [LightSource(pos) for pos in positions]
-    assert np.array_equal(illuminated_mask(body, sources, pts), per_source.any(axis=1))
+    assert np.array_equal(illuminated_mask(body, positions, pts), per_source.any(axis=1))
 
 
 def test_illuminated_mask_matches_scalar(np_rng):
-    src = LightSource(np.array([2.0, 0.7]))
+    src = np.array([2.0, 0.7])
     dirs = np_rng.normal(size=(200, 2))
     pts = dirs / np.abs(dirs).max(axis=1)[:, None]  # the square's boundary
     mask = illuminated_mask(SQUARE, [src], pts)
@@ -273,15 +311,15 @@ def test_illuminated_mask_matches_scalar(np_rng):
 
 def test_facet_rule_examples():
     vertex = np.array([[1.0, 1.0]])
-    one_facet = LightSource(np.array([2.0, 0.5]))  # beyond x <= 1 only
+    one_facet = np.array([2.0, 0.5])  # beyond x <= 1 only
     assert not illuminated_mask(SQUARE, [one_facet], vertex)[0]
     assert not window_lit(SQUARE, one_facet, vertex)[0]
-    on_top = LightSource(np.array([2.0, 1.0]))  # on the hyperplane y = 1
+    on_top = np.array([2.0, 1.0])  # on the hyperplane y = 1
     pts = np.array([[0.5, 1.0], [1.0, 0.5], [1.0, 1.0]])
     assert illuminated_mask(SQUARE, [on_top], pts).tolist() == [False, True, False]
     assert window_lit(SQUARE, on_top, pts).tolist() == [False, True, False]
     assert illuminated_mask(SQUARE, [one_facet, on_top], pts).tolist() == [False, True, False]
-    assert illuminated_mask(SQUARE, [], pts).tolist() == [False, False, False]
+    assert illuminated_mask(SQUARE, np.empty((0, 2)), pts).tolist() == [False, False, False]
 
 
 @PROPERTY_SETTINGS
@@ -303,9 +341,8 @@ def test_facet_rule_against_window_rule(body, seed):
     positions = anchor + outer * rng.uniform(1.1, 4.0, size=(4, 1)) * src_dirs
     clear = np.sort(b - pts @ A.T, axis=1)[:, 1] > BOUNDARY_TOL
     for pos in positions:
-        src = LightSource(pos)
-        facet = illuminated_mask(body, [src], pts)
-        window = window_lit(body, src, pts, margin=0.0)
+        facet = illuminated_mask(body, [pos], pts)
+        window = window_lit(body, pos, pts, margin=0.0)
         assert not np.any(facet & ~window)
         if np.min(np.abs(A @ pos - b)) > BOUNDARY_TOL:
             assert np.array_equal(facet[clear], window[clear])
