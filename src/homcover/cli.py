@@ -251,7 +251,7 @@ def _cmd_fn_schedule(args) -> list:
                            for (k, l), v in plan.partitions.items()},
             "remainder": encode_column(plan.remainder, "<i4"),
             "largeIndices": encode_column(plan.large_indices, "<i4"),
-            "tilingCells": len(plan.tiling_centers),
+            "tilingCells": cons.info["tilingCells"],
         }
     outputs = _emit(args, payload)
     if args.certificate:

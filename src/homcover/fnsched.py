@@ -102,8 +102,6 @@ class DyadicPlan:
     remainder: list          # indices parked because their class had F(k) = 0
     large_indices: list      # indices routed to the direct random phase
     kell_thresholds: dict    # k -> per-partition volume requirement
-    tile_scale: float
-    tiling_centers: list
 
 
 @dataclass(eq=False)
@@ -213,8 +211,6 @@ def dyadic_plan(seq: RatioSequence, n: int, *, body_volume: float,
         remainder=remainder,
         large_indices=large,
         kell_thresholds=kell,
-        tile_scale=tile_scale,
-        tiling_centers=[np.asarray(c, dtype=float) for c in tiling_centers],
     )
 
 
@@ -279,7 +275,6 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
                       rng: RngSpec, *, mode: str = MODE_DESK,
                       multiplier: float = DESK_MULTIPLIER,
                       cert_margin: float = 0.0,
-                      indices: Optional[Sequence[int]] = None,
                       shared: Optional[dict] = None) -> CoveringConstruction:
     """Two-phase translative covering of side*B_inf by {lambda_i * K}.
 
@@ -288,7 +283,9 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
     certified grid (gauge sigma_g * K) is then probed against the prefix
     shrunken by sigma_g + cert-margin; a separated subset of the missed
     grid points receives the remaining pieces.  The returned verdict comes
-    from an independent cross-body coverage certificate on the cube.
+    from an independent cross-body coverage certificate on the cube.  Row i
+    of the placements is piece i, so ``index`` is ``arange(len(lambdas))``;
+    n must be >= 2.
 
     Calls that pass the same ``shared`` dict build each distinct target cube,
     marking grid and certificate net once.
@@ -296,6 +293,8 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
     shared = {} if shared is None else shared
     body = pieces_body
     n = body.dim
+    if n < 2:
+        raise ValueError("n must be >= 2 (1/(2 n ln n) is undefined below)")
     lambdas = np.asarray(lambdas, dtype=float)
     M = lambdas.size
     if M == 0:
@@ -384,7 +383,7 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
     certificate = covercert.verdict_to_dict(verdict, target_body, placements,
                                             pieces_body=body)
     return CoveringConstruction(
-        placements=placements, index=np.arange(M) if indices is None else np.asarray(indices),
+        placements=placements, index=np.arange(M),
         phase=_phases((PHASE_RANDOM, m_prime), (PHASE_PATCH, available)), verdict=verdict,
         info=info, certificate=certificate)
 
@@ -431,6 +430,8 @@ def schedule_covering(body: ConvexBody, seq: RatioSequence, rng: RngSpec, *,
     construction, rescaled so the pieces land in [1/2, 1].
     """
     n = body.dim
+    if n < 2:
+        raise ValueError("n must be >= 2 (1/(2 n ln n) is undefined below)")
     if seq.dim != n:
         raise ValueError("sequence dimension does not match the body")
     vol_k = randvol.body_volume(body, rng.child(_VOL_TAG, 1))
@@ -494,9 +495,9 @@ def schedule_covering(body: ConvexBody, seq: RatioSequence, rng: RngSpec, *,
         sub = cover_cube_two_phase(
             float(n ** 2), pieces_small, lams, rng.child(_CUBE_TAG, cube_no),
             mode=mode, multiplier=multiplier,
-            cert_margin=eps_f * rescale * 1.05, indices=idx, shared=shared)
+            cert_margin=eps_f * rescale * 1.05, shared=shared)
         centers.append(center + sub.placements.centers * (s_k / n ** 2))
-        index.append(sub.index)
+        index.append(np.asarray(idx))
         phase.append(sub.phase)
         per_cube.append({"cube": cube_no, "class": key, "center": center.tolist(),
                          "scale": s_k, "status": sub.verdict.status,

@@ -106,8 +106,6 @@ def illuminates(body: ConvexBody, source, point) -> bool:
 class ConversionResult:
     sources: np.ndarray  # (count, n) positions
     r_used: float
-    verdict: CoverageVerdict
-    dropped_interior: int
 
 
 def covering_to_illumination(body: ConvexBody,
@@ -128,8 +126,7 @@ def covering_to_illumination(body: ConvexBody,
     r_used = 1.0 / epsilon_cover + R_MARGIN
     positions = r_used * family.centers.reshape(family.ratios.size, body.dim)
     inside = body.contains(positions, "closed")
-    return ConversionResult(sources=positions[~inside], r_used=r_used, verdict=verdict,
-                            dropped_interior=int(np.count_nonzero(inside)))
+    return ConversionResult(sources=positions[~inside], r_used=r_used)
 
 
 def _boundary_probes(body: ConvexBody, gen: np.random.Generator, count: int) -> np.ndarray:

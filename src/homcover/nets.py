@@ -50,12 +50,12 @@ def grid_step(dim: int, inradius: float) -> float:
 
 
 def gauge_grid(dim: int, keep_fn: Callable, inradius: float, anchor: np.ndarray,
-               bbox_lo: np.ndarray, bbox_hi: np.ndarray,
-               max_points: int = MAX_NET_POINTS):
+               bbox_lo: np.ndarray, bbox_hi: np.ndarray):
     """Shared grid builder.
 
     keep_fn(points, half_spacing) must return the mask of grid points whose
-    cell reaches the covering target.  Returns (points, spacing).
+    cell reaches the covering target.  Returns (points, spacing).  A grid of
+    more than MAX_NET_POINTS candidates raises NetTooLarge.
     """
     if inradius <= 0:
         raise ValueError("gauge inradius must be positive")
@@ -68,8 +68,8 @@ def gauge_grid(dim: int, keep_fn: Callable, inradius: float, anchor: np.ndarray,
     total = int(np.prod(counts.astype(float)))
     if total <= 0:
         raise ValueError("empty grid range")
-    if total > max_points:
-        raise NetTooLarge(f"grid would have {total} candidate points (> {max_points})")
+    if total > MAX_NET_POINTS:
+        raise NetTooLarge(f"grid would have {total} candidate points (> {MAX_NET_POINTS})")
 
     axes = [np.arange(j_lo[d], j_hi[d] + 1) for d in range(dim)]
     kept_pts = []
@@ -101,7 +101,7 @@ class EpsNet:
     certified_inradius: float
     anchor: np.ndarray
     body: ConvexBody
-    cardinality_bound: float = 0.0  # the (5/epsilon)^n reference, informational
+    cardinality_bound: float  # the (5/epsilon)^n reference, informational
 
     @property
     def size(self) -> int:
@@ -115,9 +115,9 @@ class EpsNet:
         return idx, idx >= 0
 
 
-def build_net(body: ConvexBody, epsilon: float,
-              max_points: int = MAX_NET_POINTS) -> EpsNet:
-    """Construct a certified epsilon-net on the body (see module docstring)."""
+def build_net(body: ConvexBody, epsilon: float) -> EpsNet:
+    """Construct a certified epsilon-net on the body (see module docstring);
+    NetTooLarge when its grid exceeds the MAX_NET_POINTS budget."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must be in (0, 1]")
     center, inradius = body.chebyshev
@@ -128,7 +128,7 @@ def build_net(body: ConvexBody, epsilon: float,
     def keep(pts, half):
         return body.dilated_contains(pts + anchor, half)
 
-    points, h = gauge_grid(body.dim, keep, r, anchor, lo, hi, max_points)
+    points, h = gauge_grid(body.dim, keep, r, anchor, lo, hi)
     return EpsNet(
         epsilon=epsilon,
         points=points,

@@ -53,7 +53,6 @@ class CoverExperimentConfig:
     volume_ratio: Optional[float] = None
     probes: int = 10_000
     sample_combo: Optional[MinkowskiCombo] = None  # override: draw all centers here
-    ratio_range_warning: bool = field(init=False, default=False)
 
     def __post_init__(self):
         n = self.body.dim
@@ -69,10 +68,9 @@ class CoverExperimentConfig:
             raise ValueError("experiment body must contain the origin in its interior")
         floor = math.exp(-n)
         if any(r <= floor for r in self.ratios):
-            self.ratio_range_warning = True
-            warnings.warn(
+            warnings.warn(  # stacklevel 3: the caller of the generated __init__
                 f"some ratios fall at or below e^-n = {floor:.3g}; the coverage "
-                "guarantee is stated for ratios above that floor", stacklevel=2)
+                "guarantee is stated for ratios above that floor", stacklevel=3)
         if self.epsilon is None:
             self.epsilon = experiment_epsilon(n, self.ratios)
         if self.volume_ratio is None:

@@ -36,6 +36,7 @@ _MASK64 = (1 << 64) - 1
 _REJECTION_FLOOR = 1e-6
 _PROBE_PROPOSALS = 2_000_000
 _VOLUME_SAMPLES = 200_000  # per Monte Carlo volume estimate
+_SAMPLE_BATCH = 8192  # the one-stream sampler's largest batch of proposals
 
 # first_points: proposals drawn per stream before a stream falls back to the
 # one-stream sampler, and streams whose proposals are tested in one call
@@ -210,13 +211,13 @@ def _check_stall(proposals: int, accepts: int) -> None:
                                f"{_REJECTION_FLOOR:g} after {proposals} proposals")
 
 
-def _sample(member: Callable, lo: np.ndarray, hi: np.ndarray, rng: RngSpec, count: int,
-            batch: int = 8192) -> np.ndarray:
+def _sample(member: Callable, lo: np.ndarray, hi: np.ndarray, rng: RngSpec,
+            count: int) -> np.ndarray:
     """The one-stream rejection sampler: the first ``count`` proposals of the
     stream in the box [lo, hi] that ``member`` accepts."""
     out = []
     got = proposals = 0
-    for pts in _proposals(rng, lo, hi, min(batch, max(16, count)), batch):
+    for pts in _proposals(rng, lo, hi, min(_SAMPLE_BATCH, max(16, count)), _SAMPLE_BATCH):
         keep = member(pts)
         kept = pts[keep]
         out.append(kept)
@@ -227,16 +228,16 @@ def _sample(member: Callable, lo: np.ndarray, hi: np.ndarray, rng: RngSpec, coun
         _check_stall(proposals, got)
 
 
-def sample_uniform(combo: MinkowskiCombo, rng, count: int, batch: int = 8192) -> np.ndarray:
+def sample_uniform(combo: MinkowskiCombo, rng, count: int) -> np.ndarray:
     """i.i.d. uniform points in plus*K - minus*K by rejection from its
     bounding box.  Every returned point satisfies combo_contains.
 
     From one stream (an RngSpec), proposals come in batches that start at
-    max(16, count) and double up to ``batch``.  The Philox stream does not
-    depend on how it is cut into batches, so the points returned do not
-    depend on ``batch`` either.  From many streams (RngStreams, count 1),
-    row i is ``sample_uniform(combo, rng[i], 1)[0]``, all rows drawn in one
-    pass as by first_points."""
+    max(16, count) and double up to 8192 (``_SAMPLE_BATCH``).  The Philox
+    stream does not depend on how it is cut into batches, so the points
+    returned do not depend on that size either.  From many streams
+    (RngStreams, count 1), row i is ``sample_uniform(combo, rng[i], 1)[0]``,
+    all rows drawn in one pass as by first_points."""
     if count < 1:
         raise ValueError("count must be positive")
     lo, hi = bounding_box(combo)
@@ -247,7 +248,7 @@ def sample_uniform(combo: MinkowskiCombo, rng, count: int, batch: int = 8192) ->
         # the shared core, not first_points itself, so that a trace of the
         # public functions counts these proposals as sample_uniform's
         return _first_points(member, lo, hi, rng)
-    return _sample(member, lo, hi, rng, count, batch)
+    return _sample(member, lo, hi, rng, count)
 
 
 def first_points(member: Callable, lo, hi, specs: RngStreams) -> np.ndarray:

@@ -186,6 +186,21 @@ def test_verify_illumination_certificate_sources(tmp_path, status, sources, code
     assert dispatch(["verify", "--certificate", str(path)]) == code
 
 
+@pytest.mark.parametrize("witness,code", [
+    ([0.5, 0.5, 0.0], EXIT_INPUT),
+    ("a", EXIT_INPUT),
+    ([np.nan, np.nan], EXIT_VERIFY),
+    ([np.inf, 0.0], EXIT_VERIFY),
+], ids=["3d-point", "string", "nan", "inf"])
+def test_verify_refuted_covering_witness(tmp_path, witness, code):
+    """A witness of the wrong dimension or JSON type exits 2; a non-finite
+    one is not in the body, so replay fails with exit 4."""
+    _, refuted = _quadrant_certificates()
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(dict(refuted, witness=witness)))
+    assert dispatch(["verify", "--certificate", str(path)]) == code
+
+
 def _ratios(cert):
     return decode_column(cert["ratios"], "<f8").copy()
 
@@ -312,6 +327,9 @@ def test_input_errors_exit_2(tmp_path):
     # the combination's coefficients and its bounding box must be finite
     for coeffs in (["--plus", "nan"], ["--minus", "inf"], ["--plus", "1e308", "--minus", "1e308"]):
         assert dispatch(["volume", "--body", "cube", "--dim", "2", *coeffs]) == EXIT_INPUT
+    # the separation radius 1/(2 n ln n) needs n >= 2
+    assert dispatch(["fn-schedule", "--body", "cube", "--dim", "1", "--lambda", "0.5",
+                     "--count", "100", "--out", str(tmp_path / "plan.json")]) == EXIT_INPUT
     # the desk-mode multiplier must be finite and positive
     for scale in ("-1", "0", "nan", "inf"):
         assert dispatch(["fn-schedule", "--dim", "2", "--body", "cube", "--lambda", "0.9",

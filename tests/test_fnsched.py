@@ -160,10 +160,11 @@ def test_patch_deficit_reported():
         cover_cube_two_phase(4.0, SQUARE, [0.5] * 195, RngSpec(3))
 
 
-def test_index_bookkeeping_in_construction():
-    cons = cover_cube_two_phase(4.0, SQUARE, [0.5] * 400, RngSpec(42),
-                             indices=list(range(1000, 1400)))
-    assert cons.index.tolist() == list(range(1000, 1400))  # each index used exactly once here
+def test_one_dimensional_bodies_are_rejected():
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        cover_cube_two_phase(1.0, ConvexBody.cube(1), [0.5] * 100, RngSpec(1))
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        schedule_covering(ConvexBody.cube(1), RatioSequence((0.5,) * 100, 1), RngSpec(1))
 
 
 def test_schedule_covering_branch_a():
@@ -178,10 +179,13 @@ def test_schedule_covering_branch_a():
     assert np.array_equal(cons.placements.centers, again.placements.centers)
 
 
-@pytest.mark.parametrize("ratios,options", [
+SCHEDULE_BRANCHES = pytest.mark.parametrize("ratios,options", [
     ((0.9,) * 300, {}),
     ((0.03,) * 13000, {"multiplier": 8.0, "eps_final": 0.003}),
 ], ids=["branch-A", "branch-B"])
+
+
+@SCHEDULE_BRANCHES
 def test_schedule_covering_builds_no_per_copy_objects(monkeypatch, ratios, options):
     """Both branches hold their copies as columns from the sampler to the
     certificate: no HomothetPlacement is constructed."""
@@ -193,6 +197,16 @@ def test_schedule_covering_builds_no_per_copy_objects(monkeypatch, ratios, optio
     assert cons.verdict.status == CERTIFIED
     assert built == []
     assert cons.placements.ratios.size == cons.index.size == cons.phase.size == len(ratios)
+
+
+@SCHEDULE_BRANCHES
+def test_index_column_names_each_pieces_ratio(ratios, options):
+    """Row i of the placements is a copy of ratio ``index[i]``, and every
+    ratio is placed exactly once."""
+    seq = RatioSequence(ratios, 2)
+    cons = schedule_covering(SQUARE, seq, RngSpec(7), **options)
+    assert np.asarray(seq.ratios)[cons.index].tobytes() == cons.placements.ratios.tobytes()
+    assert sorted(cons.index.tolist()) == list(range(len(ratios)))
 
 
 def test_certified_construction_survives_probe_refutation():

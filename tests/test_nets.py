@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from homcover import nets
 from homcover.bodies import ConvexBody, MinkowskiCombo, combo_contains
 from homcover.nets import NetTooLarge, build_net, default_epsilon
 from homcover.randvol import RngSpec, sample_uniform_body
@@ -57,8 +59,8 @@ def test_epsilon_validation_and_size_guard():
         build_net(body, 0.0)
     with pytest.raises(ValueError):
         build_net(body, 1.2)
-    with pytest.raises(NetTooLarge):
-        build_net(body, 0.001, max_points=1000)
+    with mock.patch.object(nets, "MAX_NET_POINTS", 1000), pytest.raises(NetTooLarge):
+        build_net(body, 0.001)
 
 
 def test_default_epsilon_values():

@@ -67,6 +67,13 @@ def random_placements(body, rng, count):
             zip(rng.uniform(lo, hi, size=(count, body.dim)), rng.uniform(0.0, 1.0, count))]
 
 
+def budget_net(body, epsilon):
+    """build_net under a 50,000-point budget, so a sliver body's net raises
+    NetTooLarge at once rather than building millions of points."""
+    with mock.patch.object(nets, "MAX_NET_POINTS", 50_000):
+        return build_net(body, epsilon)
+
+
 def dense_first_cover(body, placements, pts, shrink):
     """Index of the first True column of the points x placements membership
     matrix, -1 for an all-False row."""
@@ -124,8 +131,10 @@ def test_dilated_contains_matches_lp_oracle(body, delta, seed):
        st.integers(0, 2 ** 32 - 1))
 def test_sample_uniform_is_batch_invariant(body_seed, a, c, count, seed):
     combo = MinkowskiCombo(body_seed[0], a, c)
-    runs = [sample_uniform(combo, RngSpec(seed), count, batch=b)
-            for b in (1, 3, 16, 8192)]
+    runs = []
+    for b in (1, 3, 16, 8192):
+        with mock.patch.object(randvol, "_SAMPLE_BATCH", b):
+            runs.append(sample_uniform(combo, RngSpec(seed), count))
     for pts in runs[1:]:
         assert pts.tobytes() == runs[0].tobytes()
 
@@ -152,7 +161,7 @@ def test_first_cover_matches_dense_oracle(body, seed, count, tiny, probes, shrin
     probe_pts = rng.uniform(lo - pad, hi + pad, size=(probes, body.dim))
     cases = [(placements, np.vstack([probe_pts, outside]))]
     try:
-        net = build_net(body, 0.35 if body.dim < 4 else 0.6, max_points=50_000)
+        net = budget_net(body, 0.35 if body.dim < 4 else 0.6)
     except NetTooLarge:
         pass  # a sliver body: its net would need millions of points
     else:
@@ -236,10 +245,9 @@ def test_grouped_gauge_grid_matches_one_slab_per_call(body, eps, block):
         calls.append(pts.shape[0])
         return body.dilated_contains(pts + anchor, half)
 
-    with mock.patch.object(nets, "GRID_BLOCK_POINTS", block):
+    with mock.patch.multiple(nets, GRID_BLOCK_POINTS=block, MAX_NET_POINTS=50_000):
         try:
-            got, h = nets.gauge_grid(body.dim, keep, eps * inradius, anchor, lo, hi,
-                                     max_points=50_000)
+            got, h = nets.gauge_grid(body.dim, keep, eps * inradius, anchor, lo, hi)
         except NetTooLarge:
             return  # a sliver body: its grid would need millions of points
     grouped_calls = calls[:]
@@ -398,10 +406,10 @@ def test_decided_verdicts_are_sound(body, seed, count, lam, eps, whole):
     centers = sample_first([MinkowskiCombo(body, 1.0, lam)] * count, specs)
     placements = [HomothetPlacement(c, lam) for c in centers]
     try:
-        net = build_net(body, eps, max_points=50_000)
+        net = budget_net(body, eps)
         if whole:  # unit copies on a 1/2-net cover K even after the shrink
             placements += [HomothetPlacement(y, 1.0)
-                           for y in build_net(body, 0.5, max_points=50_000).points]
+                           for y in budget_net(body, 0.5).points]
     except NetTooLarge:
         return  # a sliver body: its net would need millions of points
     verdict = decide_cover(body, placements, eps, RngSpec(seed, 1), 2000, net=net)
@@ -423,10 +431,10 @@ def test_entry_points_give_the_same_for_a_list_and_its_columns(body, seed, count
     rng = np.random.default_rng(seed)
     placements = random_placements(body, rng, count)
     try:
-        net = build_net(body, eps, max_points=50_000)
+        net = budget_net(body, eps)
         if whole:  # unit copies on a 1/2-net cover K even after the shrink
             placements += [HomothetPlacement(y, 1.0)
-                           for y in build_net(body, 0.5, max_points=50_000).points]
+                           for y in budget_net(body, 0.5).points]
     except NetTooLarge:
         return  # a sliver body: its net would need millions of points
     family = Homothets.of(placements)

@@ -106,9 +106,10 @@ def random_body_pentagon():
 
 def test_rejection_too_slow_guard(monkeypatch):
     monkeypatch.setattr(randvol, "_PROBE_PROPOSALS", 5000)
+    monkeypatch.setattr(randvol, "_SAMPLE_BATCH", 4096)
     body = ConvexBody.cross_polytope(10)  # volume fraction 1/10! of the box
     with pytest.raises(RejectionTooSlow):
-        sample_uniform(MinkowskiCombo(body, 1.0, 0.0), RngSpec(2), 10, batch=4096)
+        sample_uniform(MinkowskiCombo(body, 1.0, 0.0), RngSpec(2), 10)
 
 
 def test_rejection_floor_applies_after_an_early_hit(monkeypatch):
