@@ -83,17 +83,21 @@ def _write_manifest(command: str, args_echo: dict, seed: Optional[int],
                     outputs: list, started: float) -> None:
     if not outputs:
         return
+    # output paths relative to the manifest: its bytes do not depend on where files live
+    path = outputs[0] + ".manifest.json"
+    home = os.path.dirname(os.path.abspath(path))
+    rel = lambda p: os.path.relpath(p, home)
     manifest = {
         "schemaVersion": SCHEMA_VERSION,
         "command": command,
-        "config": args_echo,
+        "config": {k: rel(v) if k in ("out", "certificate", "rows") else v
+                   for k, v in args_echo.items()},
         "seed": seed,
         "artifactVersion": __version__,
         "durationSeconds": round(time.time() - started, 3),
-        "outputs": [{"path": os.path.basename(p), "sha256": _digest_file(p)}
-                    for p in outputs],
+        "outputs": [{"path": rel(p), "sha256": _digest_file(p)} for p in outputs],
     }
-    _dump_json(outputs[0] + ".manifest.json", manifest)
+    _dump_json(path, manifest)
 
 
 def _load_body(name_or_path: str, dim: Optional[int]) -> ConvexBody:
@@ -132,11 +136,8 @@ def _cmd_volume(args) -> list:
         "samples": est.samples,
         "hits": est.hits,
         "boxVolume": est.box_volume,
+        "exactBodyVolume": randvol.exact_volume(body),
     }
-    try:
-        payload["exactBodyVolume"] = randvol.exact_volume(body)
-    except randvol.UnsupportedBody:
-        pass
     return _emit(args, payload)
 
 
@@ -263,7 +264,7 @@ def _cmd_fn_schedule(args) -> list:
 def _cmd_bounds(args) -> list:
     body = _load_body(args.body, args.dim)
     symmetric = body.kind in SYMMETRIC_KINDS
-    ratio, _ = randvol.difference_volume_ratio(body, RngSpec(args.seed))
+    ratio = randvol.difference_volume_ratio(body)[0]
     table = randcover.reference_bounds(body.dim, ratio, symmetric)
     payload = {"schemaVersion": SCHEMA_VERSION, "body": body.to_spec(),
                "symmetric": symmetric, **table}
@@ -374,7 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the final coverage certificate here")
     p.set_defaults(func=_cmd_fn_schedule)
 
-    p = sub.add_parser("bounds", help="reference-bound comparison table")
+    p = sub.add_parser("bounds", help="reference-bound comparison table", description=(
+        "Print the reference-bound comparison table.  Its volume ratio is exact, "
+        "so --seed is accepted and ignored."))
     _common_flags(p)
     p.set_defaults(func=_cmd_bounds)
 

@@ -202,8 +202,8 @@ def recheck_certificate(cert: dict) -> bool:
     ``MEMBERSHIP_TOL``, decode the embedded assignment (one copy index per
     net point) and check that each net point lies in its assigned shrunken
     homothet, all in one vectorised test.  The search is never re-run.
-    Refuted: the witness must lie in the body and outside every unshrunken
-    homothet.  Any schema other than ``SCHEMA_VERSION`` fails.
+    Refuted: the witness must be finite, lie in the body and lie outside
+    every unshrunken homothet.  Any schema other than ``SCHEMA_VERSION`` fails.
     """
     if cert.get("type") != "covering" or cert.get("schemaVersion") != SCHEMA_VERSION:
         return False
@@ -220,7 +220,7 @@ def recheck_certificate(cert: dict) -> bool:
 
     if status == REFUTED:
         witness = np.array(cert["witness"])
-        if not body.contains(witness, "closed"):
+        if not (np.isfinite(witness).all() and body.contains(witness, "closed")):
             return False
         live = ratios > 0.0  # a copy of ratio 0 covers nothing
         return not _inside(pieces, witness, centers[live], ratios[live]).any()

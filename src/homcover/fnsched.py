@@ -55,7 +55,6 @@ DESK_MULTIPLIER = 3.0
 
 _PIECE_TAG = 0x91
 _CUBE_TAG = 0xC0
-_VOL_TAG = 0xF0
 
 
 class PatchDeficit(RuntimeError):
@@ -305,7 +304,7 @@ def cover_cube_two_phase(side: float, pieces_body: ConvexBody, lambdas: Sequence
         warnings.warn("piece ratios outside [1/2, 1]; the construction still "
                       "runs but the density premises are off", stacklevel=2)
 
-    vol_piece = randvol.body_volume(body, rng.child(_VOL_TAG))
+    vol_piece = randvol.exact_volume(body)
     cube_vol = (2.0 * side) ** n
     total = float(np.sum(lambdas ** n)) * vol_piece
     need = rogers_factor(n, 5, mode, multiplier) * cube_vol
@@ -434,8 +433,8 @@ def schedule_covering(body: ConvexBody, seq: RatioSequence, rng: RngSpec, *,
         raise ValueError("n must be >= 2 (1/(2 n ln n) is undefined below)")
     if seq.dim != n:
         raise ValueError("sequence dimension does not match the body")
-    vol_k = randvol.body_volume(body, rng.child(_VOL_TAG, 1))
-    ratio_kk = randvol.difference_volume_ratio(body, rng.child(_VOL_TAG, 2))[0]
+    vol_k = randvol.exact_volume(body)
+    ratio_kk = randvol.difference_volume_ratio(body)[0]
     vol_kk = ratio_kk * vol_k
 
     floor = n ** -5

@@ -67,7 +67,7 @@ def validate_sources(body: ConvexBody, sources) -> np.ndarray:
 
 def _on_boundary(body: ConvexBody, x: np.ndarray) -> bool:
     A, b = body.halfspaces
-    return abs(float(np.max(A @ x - b))) <= BOUNDARY_TOL
+    return bool(np.isfinite(x).all()) and abs(float(np.max(A @ x - b))) <= BOUNDARY_TOL
 
 
 @dataclass(eq=False)
@@ -263,11 +263,11 @@ def run_illumination_pipeline(body: ConvexBody, trials: int, rng: RngSpec,
     if probes < 1:  # checked before any trial: uncertified trials never reach the falsifier
         raise ValueError("probes must be positive")
     n = body.dim
-    ratio = difference_volume_ratio(body, rng.child(0xA))[0]
+    ratio = difference_volume_ratio(body)[0]
     m = math.ceil(threshold_sum(n, ratio, 5))
     t4 = threshold_sum(n, ratio, 4)
     epsilon_cover = 1.0 - (t4 / m) ** (1.0 / n)
-    # the ratio is passed on: the config would estimate it again from the same stream
+    # the ratio is passed on, so the config does not compute it again
     config = CoverExperimentConfig(
         body=body, ratios=[1.0 - epsilon_cover] * m, trials=trials, rng=rng, epsilon=net_epsilon,
         volume_ratio=ratio, sample_combo=MinkowskiCombo(body, 1.0, 1.0))

@@ -74,7 +74,7 @@ class CoverExperimentConfig:
         if self.epsilon is None:
             self.epsilon = experiment_epsilon(n, self.ratios)
         if self.volume_ratio is None:
-            self.volume_ratio = difference_volume_ratio(self.body, self.rng.child(0xA))[0]
+            self.volume_ratio = difference_volume_ratio(self.body)[0]
 
     def sum_pow(self) -> float:
         n = self.body.dim

@@ -1,5 +1,5 @@
-"""Deterministic randomness, uniform sampling in body combinations, and
-hit-or-miss Monte Carlo volume with Wilson confidence intervals.
+"""Deterministic randomness, uniform sampling in body combinations, exact
+volumes, and hit-or-miss Monte Carlo volume with Wilson confidence intervals.
 
 Streams are counter-based (Philox keyed by (seed, stream)), so any worker
 can be handed an independent stream without shared state and two runs with
@@ -35,7 +35,6 @@ from .bodies import (CROSSPOLYTOPE, CUBE, SIMPLEX, SYMMETRIC_KINDS, ConvexBody, 
 _MASK64 = (1 << 64) - 1
 _REJECTION_FLOOR = 1e-6
 _PROBE_PROPOSALS = 2_000_000
-_VOLUME_SAMPLES = 200_000  # per Monte Carlo volume estimate
 _SAMPLE_BATCH = 8192  # the one-stream sampler's largest batch of proposals
 
 # first_points: proposals drawn per stream before a stream falls back to the
@@ -64,10 +63,6 @@ _U32 = np.uint64(32)
 class RejectionTooSlow(RuntimeError):
     """Acceptance rate fell below the rejection-sampling floor; the target
     set is too thin inside its bounding box (dimension too high)."""
-
-
-class UnsupportedBody(ValueError):
-    """No closed-form volume for this body kind."""
 
 
 def _splitmix64_array(x: np.ndarray) -> np.ndarray:
@@ -326,8 +321,9 @@ def mc_volume(combo: MinkowskiCombo, rng: RngSpec, samples: int) -> VolumeEstima
 
 
 def exact_volume(body: ConvexBody) -> float:
-    """Closed-form volume for the special kinds: cube (2s)^n, simplex
-    s^n / n!, cross-polytope (2s)^n / n!."""
+    """Vol(K), drawing no random stream: cube (2s)^n, simplex s^n / n!,
+    cross-polytope (2s)^n / n!, and qhull's hull volume for a vertex body
+    (which imports scipy, as its facets already do)."""
     n, s = body.dim, body.scale
     if body.kind == CUBE:
         return (2.0 * s) ** n
@@ -335,32 +331,22 @@ def exact_volume(body: ConvexBody) -> float:
         return s ** n / math.factorial(n)
     if body.kind == CROSSPOLYTOPE:
         return (2.0 * s) ** n / math.factorial(n)
-    raise UnsupportedBody(f"no closed-form volume for kind {body.kind!r}")
+    from scipy.spatial import ConvexHull
+
+    return float(ConvexHull(body.vertices).volume)
 
 
 def difference_volume_ratio(body: ConvexBody, rng: RngSpec | None = None,
-                            samples: int = _VOLUME_SAMPLES):
-    """Vol(K - K) / Vol(K): exact 2^n for the symmetric kinds, the exact
-    central binomial for simplices, Monte Carlo otherwise.
-
-    Returns (ratio, estimate) where estimate is None when exact.
-    """
+                            samples: int | None = None):
+    """(Vol(K - K) / Vol(K), None), exact: 2^n for the symmetric kinds,
+    C(2n, n) for simplices (any n + 1 vertices), and otherwise the volume of
+    the hull of the vertex differences V_i - V_j.  ``rng`` and ``samples``
+    are accepted and unused."""
     n = body.dim
     if body.kind in SYMMETRIC_KINDS:
         return float(2 ** n), None
     if body.kind == SIMPLEX or body.vertices.shape[0] == n + 1:
         return float(math.comb(2 * n, n)), None
-    if rng is None:
-        raise ValueError("vertex bodies need an RngSpec for the Monte Carlo ratio")
-    est_diff = mc_volume(MinkowskiCombo(body, 1.0, 1.0), rng.child(1), samples)
-    est_body = mc_volume(MinkowskiCombo(body, 1.0, 0.0), rng.child(2), samples)
-    return est_diff.mean / est_body.mean, (est_diff, est_body)
-
-
-def body_volume(body: ConvexBody, rng: RngSpec | None = None) -> float:
-    try:
-        return exact_volume(body)
-    except UnsupportedBody:
-        if rng is None:
-            raise
-        return mc_volume(MinkowskiCombo(body, 1.0, 0.0), rng, _VOLUME_SAMPLES).mean
+    V = body.vertices
+    diffs = ConvexBody.from_vertices((V[:, None, :] - V[None, :, :]).reshape(-1, n))
+    return exact_volume(diffs) / exact_volume(body), None

@@ -186,6 +186,7 @@ def test_verify_illumination_certificate_sources(tmp_path, status, sources, code
     assert dispatch(["verify", "--certificate", str(path)]) == code
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("witness,code", [
     ([0.5, 0.5, 0.0], EXIT_INPUT),
     ("a", EXIT_INPUT),
@@ -194,11 +195,24 @@ def test_verify_illumination_certificate_sources(tmp_path, status, sources, code
 ], ids=["3d-point", "string", "nan", "inf"])
 def test_verify_refuted_covering_witness(tmp_path, witness, code):
     """A witness of the wrong dimension or JSON type exits 2; a non-finite
-    one is not in the body, so replay fails with exit 4."""
+    one is rejected before any product with it, and replay fails with exit 4."""
     _, refuted = _quadrant_certificates()
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(dict(refuted, witness=witness)))
     assert dispatch(["verify", "--certificate", str(path)]) == code
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("witness", [[np.inf, 0.0], [np.nan, 0.0], [-np.inf, -1.0]],
+                         ids=["inf", "nan", "minus-inf"])
+def test_verify_non_finite_illumination_witness(tmp_path, witness):
+    """A falsified illumination certificate whose witness is not finite fails
+    replay with exit 4, before any product with the witness."""
+    cert = {"schemaVersion": 1, "type": "illumination", "status": "falsified",
+            "body": {"kind": "cube", "dim": 2}, "sources": _CORNERS[:3], "witness": witness}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert dispatch(["verify", "--certificate", str(path)]) == EXIT_VERIFY
 
 
 def _ratios(cert):
@@ -373,6 +387,7 @@ def test_body_json_file(tmp_path):
     assert code == EXIT_OK
     payload = read_json(out)
     assert payload["ci95"][0] <= 3.0 <= payload["ci95"][1]
+    assert payload["exactBodyVolume"] == pytest.approx(0.5, rel=1e-12)
 
 
 # sha256 of the --out result and of the --certificate file for one small run
@@ -474,10 +489,30 @@ def test_parser_is_reused_without_leaking_arguments(tmp_path):
     bounds = tmp_path / "bounds.json"
     assert dispatch(["bounds", "--body", "cube", "--dim", "2", "--out", str(bounds)]) == EXIT_OK
     assert read_json(str(bounds) + ".manifest.json")["config"] == {
-        "command": "bounds", "body": "cube", "dim": 2, "seed": 0, "out": str(bounds)}
+        "command": "bounds", "body": "cube", "dim": 2, "seed": 0, "out": "bounds.json"}
     assert dispatch(["bounds", "--help"]) == EXIT_OK
     assert dispatch(["bounds", "--dim", "two"]) == EXIT_INPUT
     assert cli._parser() is cli._parser()
+
+
+def test_manifest_config_does_not_depend_on_the_directory(tmp_path):
+    """The echoed --out, --certificate and --rows are relative to the
+    manifest, so one command run in two directories echoes one config."""
+    configs = []
+    for run in ("first", "second"):
+        folder = tmp_path / run / "deeper"
+        folder.mkdir(parents=True)
+        for argv in (["cover", "--body", "cube", "--dim", "2", "--lambda", "0.9", "--count",
+                      "15", "--trials", "2", "--epsilon", "0.1", "--probes", "200",
+                      "--out", str(folder / "cover.json"), "--rows", str(folder / "rows.csv")],
+                     ["fn-schedule", "--body", "cube", "--dim", "2", "--lambda", "0.9",
+                      "--count", "300", "--out", str(folder / "plan.json"),
+                      "--certificate", str(folder / "cert.json")]):
+            assert dispatch(argv) == EXIT_OK
+            manifest = read_json(argv[argv.index("--out") + 1] + ".manifest.json")
+            configs.append((manifest["config"], manifest["outputs"]))
+    assert configs[:2] == configs[2:]
+    assert configs[0][0]["rows"] == "rows.csv" and configs[1][0]["certificate"] == "cert.json"
 
 
 def test_cube_commands_import_no_scipy(tmp_path):
@@ -499,6 +534,8 @@ def test_cube_commands_import_no_scipy(tmp_path):
             ["fn-schedule", *cube, "--lambda", "0.9", "--count", "300", "--seed", "9",
              "--out", out("plan.json"), "--certificate", out("cert.json")],
             ["verify", "--certificate", out("cert.json")],
+            ["volume", *cube, "--samples", "2000", "--out", out("volume.json")],
+            ["bounds", *cube, "--out", out("bounds.json")],
         ]
         codes = [dispatch(argv) for argv in runs]
         print(json.dumps({"codes": codes,
@@ -511,4 +548,4 @@ def test_cube_commands_import_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}
+    assert result == {"codes": [0] * 7, "scipy": []}

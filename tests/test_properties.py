@@ -7,7 +7,9 @@ multi-stream draws against numpy's generator and the one-stream sampler,
 the grouped grid against its one-slab form, the soundness of decided
 coverage verdicts, the coverage entry points on a list of copies against
 its columns, the CLI's JSON writer against ``json.dumps``, and the
-certificate column codec's round trip."""
+certificate column codec's round trip, and the exact volumes of vertex
+bodies against the Rogers-Shephard range, scaling, translation and the
+closed forms."""
 
 import itertools
 import json
@@ -30,7 +32,7 @@ from homcover.covercert import CERTIFIED, REFUTED, UNKNOWN, CoverageVerdict, cer
 from homcover.fnsched import _random_phase_points, _separated_subset
 from homcover.nets import GRID_SLACK, NetTooLarge, build_net
 from homcover.randvol import RejectionTooSlow, RngSpec, RngStreams, _philox_random, \
-    first_points, sample_first, sample_uniform
+    difference_volume_ratio, exact_volume, first_points, sample_first, sample_uniform
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
 # a point set this large sends first_cover down its grid path
@@ -515,3 +517,39 @@ def test_column_codec_round_trips_bit_for_bit(case):
     assert decode_column(text, "<f8", len(rows) * n + 1) is None
     ints = np.arange(len(rows) * n, dtype=np.int64) - 7
     assert decode_column(encode_column(ints, "<i4"), "<i4", ints.size).tolist() == ints.tolist()
+
+
+@PROPERTY_SETTINGS
+@given(vrep_bodies())
+def test_difference_volume_ratio_lies_in_the_rogers_shephard_range(body_seed):
+    """2^n <= Vol(K - K) / Vol(K) <= C(2n, n), and 2^n for K = conv(V u -V)."""
+    body, _ = body_seed
+    n = body.dim
+    ratio = difference_volume_ratio(body)[0]
+    assert 2 ** n * (1 - 1e-9) <= ratio <= math.comb(2 * n, n) * (1 + 1e-9)
+    symmetric = ConvexBody.from_vertices(np.vstack([body.vertices, -body.vertices]))
+    assert difference_volume_ratio(symmetric)[0] == pytest.approx(2 ** n, rel=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(vrep_bodies(), st.floats(-3.0, 3.0), st.lists(st.floats(-10.0, 10.0), min_size=4,
+                                                     max_size=4))
+def test_exact_volumes_follow_scaling_and_ignore_translation(body_seed, log_scale, shift):
+    body, _ = body_seed
+    n = body.dim
+    factor = 10.0 ** log_scale
+    moved = ConvexBody.from_vertices(body.vertices * factor + np.array(shift[:n]))
+    assert exact_volume(moved) == pytest.approx(exact_volume(body) * factor ** n, rel=1e-9)
+    assert difference_volume_ratio(moved)[0] == pytest.approx(
+        difference_volume_ratio(body)[0], rel=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(["cube", "simplex", "crosspolytope"]), st.integers(2, 4),
+       st.floats(1e-3, 1e3))
+def test_hull_volumes_of_the_special_kinds_match_their_closed_forms(kind, dim, scale):
+    body = ConvexBody.from_spec({"kind": kind, "dim": dim, "scale": scale})
+    hull = ConvexBody.from_vertices(body.vertices)
+    assert exact_volume(hull) == pytest.approx(exact_volume(body), rel=1e-12)
+    assert difference_volume_ratio(hull)[0] == pytest.approx(
+        difference_volume_ratio(body)[0], rel=1e-12)

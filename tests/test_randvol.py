@@ -9,7 +9,6 @@ from homcover.bodies import ConvexBody, MinkowskiCombo, combo_contains
 from homcover.randvol import (
     RejectionTooSlow,
     RngSpec,
-    UnsupportedBody,
     difference_volume_ratio,
     exact_volume,
     mc_volume,
@@ -79,8 +78,9 @@ def test_exact_volume_formulas():
     assert exact_volume(ConvexBody.simplex(2)) == pytest.approx(0.5)
     assert exact_volume(ConvexBody.cross_polytope(3)) == pytest.approx(4.0 / 3.0)
     assert exact_volume(ConvexBody.cube(2, scale=2.0)) == pytest.approx(16.0)
-    with pytest.raises(UnsupportedBody):
-        exact_volume(TRIANGLE)
+    assert exact_volume(TRIANGLE) == pytest.approx(0.5, rel=1e-12)
+    est = mc_volume(MinkowskiCombo(TRIANGLE, 1.0, 0.0), RngSpec(8), 100_000)
+    assert est.ci95_low <= exact_volume(TRIANGLE) <= est.ci95_high
 
 
 def test_cross_polytope_volume_against_mc():
@@ -93,10 +93,14 @@ def test_difference_volume_ratio_symmetric_and_simplex():
     assert difference_volume_ratio(ConvexBody.cube(4))[0] == 16.0
     assert difference_volume_ratio(ConvexBody.cross_polytope(3))[0] == 8.0
     assert difference_volume_ratio(ConvexBody.simplex(3))[0] == 20.0  # C(6,3)
-    ratio, ests = difference_volume_ratio(
-        random_body_pentagon(), RngSpec(30), samples=50_000)
-    assert ests is not None
-    assert 4.0 <= ratio <= 6.1  # between the symmetric case and the triangle
+    # a regular pentagon's difference body is a regular decagon: ratio 2 sqrt 5
+    pentagon = random_body_pentagon()
+    ratio, extra = difference_volume_ratio(pentagon, RngSpec(30), samples=50_000)
+    assert extra is None and ratio == difference_volume_ratio(pentagon)[0]
+    assert ratio == pytest.approx(2.0 * math.sqrt(5.0), rel=1e-12)
+    diff = mc_volume(MinkowskiCombo(pentagon, 1.0, 1.0), RngSpec(30, 1), 50_000)
+    vol = mc_volume(MinkowskiCombo(pentagon, 1.0, 0.0), RngSpec(30, 2), 50_000)
+    assert diff.ci95_low / vol.ci95_high <= ratio <= diff.ci95_high / vol.ci95_low
 
 
 def random_body_pentagon():
